@@ -1,10 +1,10 @@
 """Exact rational scalars for the whole package.
 
 Every numeric quantity here is a rational number; floats never enter any
-computation path. gmpy2's mpq is roughly an order of magnitude faster than
-fractions.Fraction in pivot-heavy loops, so it is used when importable and
-the stdlib Fraction is the drop-in fallback. Code elsewhere should only go
-through Q / the helpers below so the two backends stay interchangeable.
+computation path. gmpy2's mpq is used when importable and the stdlib
+Fraction is the drop-in fallback; only the Fraction path is measured in
+this repository. Code elsewhere should only go through Q / the helpers
+below so the two backends stay interchangeable.
 """
 
 from fractions import Fraction

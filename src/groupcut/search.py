@@ -364,6 +364,7 @@ class _TreeSearch:
         self.pending_paths = []
         self.paintings = []
         self.functions = {}
+        self.decided = set()  # values already passed to is_extreme
         self.stats = {"nodes": 0, "infeasible": 0, "pruned_components": 0,
                       "dead_ends": 0, "covering_paintings": 0,
                       "stop_nodes": 0}
@@ -374,6 +375,8 @@ class _TreeSearch:
         if replay_path:
             for triangle, make_green in replay_path:
                 self.system.apply_decision(node, triangle, make_green)
+            # the run that handed out this path has counted its node
+            self.stats["nodes"] -= 1
         self._visit(node)
         return self._outcome()
 
@@ -420,12 +423,14 @@ class _TreeSearch:
 
     def _enumerate_restriction(self, node):
         for fn in restricted_polytope_functions(self.config, node.painting):
-            result = is_extreme(fn)
-            if not result.extreme:
-                continue
             if number_of_slopes(fn) < self.config.target_slopes:
                 continue
-            self.functions.setdefault(tuple(fn.values), fn)
+            key = tuple(fn.values)
+            if key in self.decided:
+                continue
+            self.decided.add(key)
+            if is_extreme(fn).extreme:
+                self.functions[key] = fn
 
 
 def restricted_polytope_functions(config, painting):

@@ -7,21 +7,38 @@ the fixed-width set of nonbasic slots (one per structural variable), so
 the tableau stays skinny no matter how many rows pile up: m rows by
 n_structural columns.
 
+Each dictionary row is stored fraction-free: integer numerators D[r] over
+one positive integer denominator den[r], reduced by a single gcd after
+every update so that gcd(den[r], *D[r]) == 1. A pivot rewrites rows with
+integer multiply-adds only (integer-preserving pivots, as in Edmonds'
+and Bareiss' elimination and in lrs). Because den[r] > 0, a numerator
+has the sign of the coefficient it stands for, so the ratio test and the
+sign tests read the numerators directly. Only the short vectors (values,
+bounds, reduced costs) hold rationals (Q). Rows are replaced, never
+edited in place, so clones share the rows neither side has pivoted.
+
 That shape makes the depth-first search cheap: cloning a state copies the
-dictionary, adding a row appends one basic logical (still dual feasible),
+row list, adding a row appends one basic logical (still dual feasible),
 and tightening bounds is repaired by Bland-rule dual pivots. All
-arithmetic is exact rational; statuses are only ever "optimal" or
-"infeasible" because every variable the callers create is bounded.
+arithmetic is exact; statuses are only ever "optimal" or "infeasible"
+because every variable the callers create is bounded.
 """
 
-from .rationals import Q, QZERO, QONE
+from math import gcd
+
+from .rationals import Q, QZERO
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
 
-class SimplexError(Exception):
+class SimplexError(ValueError):
     """Internal invariant violation (cycling guard, unbounded direction)."""
+
+
+def _pivot_guard(nrows, nslots):
+    """Iteration cap of one primal or dual loop; reaching it is a bug."""
+    return 1000 + 40 * (nrows + nslots) ** 2
 
 
 class LpState:
@@ -40,7 +57,8 @@ class LpState:
         self.row_of = {}   # var id -> row (when basic)
         self.bs = []      # row -> var id
         self.bval = []    # row -> current value
-        self.D = []       # row -> dense list over slots
+        self.D = []       # row -> integer numerators over slots
+        self.den = []     # row -> positive integer denominator
         for j, (lo, up) in enumerate(structural_bounds):
             lo = None if lo is None else Q(lo)
             up = None if up is None else Q(up)
@@ -80,23 +98,37 @@ class LpState:
         basis immediately, which keeps the dictionary valid without any
         pivoting.
         """
-        row = [QZERO] * self.nslots
+        row = [0] * self.nslots
+        den = 1
         val = QZERO
         for v, c in coeffs.items():
             if not c:
                 continue
             c = Q(c)
+            num, cden = int(c.numerator), int(c.denominator)
             r = self.row_of.get(v)
             if r is not None:
-                drow = self.D[r]
-                for k in range(self.nslots):
-                    if drow[k]:
-                        row[k] += c * drow[k]
                 val += c * self.bval[r]
+                cden *= self.den[r]
             else:
                 s = self.slot_of[v]
-                row[s] += c
                 val += c * self.nval[s]
+            # put row / den and num / cden (times D[r] when v is basic)
+            # over one denominator
+            common = den // gcd(den, cden) * cden
+            scale = common // den
+            if scale != 1:
+                row = [x * scale for x in row]
+            num *= common // cden
+            den = common
+            if r is not None:
+                row = [x + num * y for x, y in zip(row, self.D[r])]
+            else:
+                row[s] += num
+        g = gcd(den, *row)
+        if g > 1:
+            row = [x // g for x in row]
+            den //= g
         var = self.nvars
         self.lower.append(None if lo is None else Q(lo))
         self.upper.append(None if up is None else Q(up))
@@ -104,6 +136,7 @@ class LpState:
         self.bs.append(var)
         self.bval.append(val)
         self.D.append(row)
+        self.den.append(den)
         return var
 
     def set_bounds(self, var, lo, up):
@@ -127,10 +160,12 @@ class LpState:
         delta = target - self.nval[slot]
         if not delta:
             return
+        dn, dd = delta.numerator, delta.denominator
+        D, den, bval = self.D, self.den, self.bval
         for r in range(len(self.bs)):
-            c = self.D[r][slot]
+            c = D[r][slot]
             if c:
-                self.bval[r] += c * delta
+                bval[r] += Q(c * dn, den[r] * dd)
         self.nval[slot] = target
 
     def clone(self):
@@ -145,48 +180,74 @@ class LpState:
         other.row_of = dict(self.row_of)
         other.bs = list(self.bs)
         other.bval = list(self.bval)
-        other.D = [list(row) for row in self.D]
+        other.D = list(self.D)
+        other.den = list(self.den)
         return other
 
     # -- pivoting -------------------------------------------------------
 
     def _pivot(self, r, slot, target):
-        """Swap basic row r with nonbasic slot; the leaver rests at target."""
-        piv = self.D[r][slot]
-        delta = (target - self.bval[r]) / piv
+        """Swap basic row r with nonbasic slot; the leaver rests at target.
+
+        Returns the new row r as (numerators, denominator).
+        """
+        D, den, bval = self.D, self.den, self.bval
+        row, d = D[r], den[r]
+        piv = row[slot]
+        # x_leave = row.x / d, solved for the entering slot:
+        # x_enter = (d * x_leave - sum_{k != slot} row[k] * x_k) / piv.
+        # gcd(d, *row) == 1, so the new row is already in lowest terms.
+        if piv > 0:
+            newrow = [-c for c in row]
+            newrow[slot] = d
+            m = piv
+        else:
+            newrow = list(row)
+            newrow[slot] = -d
+            m = -piv
+        diff = target - bval[r]
+        delta = Q(diff.numerator * d, diff.denominator * piv)
+        dn, dd = delta.numerator, delta.denominator
         enter = self.nb[slot]
         leave = self.bs[r]
         enter_val = self.nval[slot] + delta
-        D = self.D
-        if delta:
-            for i in range(len(self.bs)):
-                if i != r:
-                    c = D[i][slot]
-                    if c:
-                        self.bval[i] += c * delta
-        inv = QONE / piv
-        newrow = [-c * inv for c in D[r]]
-        newrow[slot] = inv
         for i in range(len(self.bs)):
             if i == r:
                 continue
-            f = D[i][slot]
-            if f:
-                drow = D[i]
-                drow[slot] = QZERO
-                for k in range(self.nslots):
-                    if newrow[k]:
-                        drow[k] += f * newrow[k]
+            drow = D[i]
+            b = drow[slot]
+            if not b:
+                continue
+            e = den[i]
+            if dn:
+                bval[i] += Q(b * dn, e * dd)
+            # drow/e with b * x_enter / e replaced by (b/e) * newrow/m
+            g = gcd(b, m)
+            scale = m // g
+            b //= g
+            if scale == 1:
+                out = [x + b * y for x, y in zip(drow, newrow)]
+            else:
+                out = [x * scale + b * y for x, y in zip(drow, newrow)]
+                e *= scale
+            out[slot] = b * newrow[slot]
+            g = gcd(e, *out)
+            if g > 1:
+                out = [x // g for x in out]
+                e //= g
+            D[i] = out
+            den[i] = e
         D[r] = newrow
+        den[r] = m
         self.bs[r] = enter
-        self.bval[r] = enter_val
+        bval[r] = enter_val
         self.nb[slot] = leave
         self.nval[slot] = target
         del self.slot_of[enter]
         self.row_of[enter] = r
         del self.row_of[leave]
         self.slot_of[leave] = slot
-        return newrow
+        return newrow, m
 
     def _can_increase(self, slot):
         up = self.upper[self.nb[slot]]
@@ -203,7 +264,7 @@ class LpState:
 
         Returns True on success, False when some row certifies emptiness.
         """
-        guard = 1000 + 40 * (len(self.bs) + self.nslots) ** 2
+        guard = _pivot_guard(len(self.bs), self.nslots)
         for _ in range(guard):
             pick = None
             for r in range(len(self.bs)):
@@ -256,13 +317,14 @@ class LpState:
             c = Q(c)
             r = self.row_of.get(v)
             if r is not None:
+                c /= self.den[r]
                 drow = self.D[r]
                 for k in range(self.nslots):
                     if drow[k]:
                         objd[k] += c * drow[k]
             else:
                 objd[self.slot_of[v]] += c
-        guard = 1000 + 40 * (len(self.bs) + self.nslots) ** 2
+        guard = _pivot_guard(len(self.bs), self.nslots)
         degenerate_run = 0
         for _ in range(guard):
             enter = None
@@ -302,11 +364,12 @@ class LpState:
                 self._move_nonbasic(slot, bound)
             else:
                 r, target = blocker
-                newrow = self._pivot(r, slot, target)
+                newrow, m = self._pivot(r, slot, target)
                 # refresh reduced costs with the same substitution
                 f = objd[slot]
                 if f:
                     objd[slot] = QZERO
+                    f /= m
                     for k in range(self.nslots):
                         if newrow[k]:
                             objd[k] += f * newrow[k]
@@ -332,40 +395,39 @@ class LpState:
         else:
             own = self.lower[evar]
             step = None if own is None else self.nval[slot] - own
+        # steps are compared as integer pairs sn / sd with sd > 0
+        sn = sd = None
+        if step is not None:
+            sn, sd = step.numerator, step.denominator
         blocker = None
         tie = None
+        D, den, bval = self.D, self.den, self.bval
         for r in range(len(self.bs)):
-            c = self.D[r][slot]
+            c = D[r][slot]
             if not c:
                 continue
+            # the basic moves at rate c / den[r] per unit step, so it
+            # reaches lim after (lim - value) * den[r] / rate = tn / td
             rate = c if direction > 0 else -c
             bvar = self.bs[r]
-            if rate > 0:
-                lim = self.upper[bvar]
-                if lim is None:
+            lim = self.upper[bvar] if rate > 0 else self.lower[bvar]
+            if lim is None:
+                continue
+            val = bval[r]
+            ld, vd = lim.denominator, val.denominator
+            tn = (lim.numerator * vd - val.numerator * ld) * den[r]
+            td = ld * vd * rate
+            if td < 0:
+                tn, td = -tn, -td
+            if tn < 0:
+                tn = 0
+            if sn is not None:
+                cross = tn * sd - sn * td
+                if cross > 0 or (cross == 0 and (blocker is None or bvar > tie)):
                     continue
-                t = (lim - self.bval[r]) / rate
-            else:
-                lim = self.lower[bvar]
-                if lim is None:
-                    continue
-                t = (lim - self.bval[r]) / rate
-            if t < 0:
-                t = QZERO
-            if step is None or t < step or (t == step and blocker is not None and bvar < tie):
-                step = t
-                blocker = (r, lim)
-                tie = bvar
+            sn, sd = tn, td
+            blocker = (r, lim)
+            tie = bvar
+        if blocker is not None:
+            step = Q(sn, sd)
         return step, blocker
-
-
-def lp_solve(state, objective, direction="max"):
-    """Optimize objective (dict var -> coeff) over state, warm-starting.
-
-    direction is "max" or "min". Returns (status, optimal value or None).
-    """
-    if direction == "max":
-        return state.maximize(objective)
-    if direction == "min":
-        return state.minimize(objective)
-    raise ValueError("direction must be 'max' or 'min', got %r" % direction)

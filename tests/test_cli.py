@@ -180,6 +180,16 @@ def test_exit_codes(tmp_path, capsys):
     assert "search" in out
 
 
+def test_tripped_simplex_guard_exits_1(monkeypatch, capsys):
+    import groupcut.simplex
+    monkeypatch.setattr(groupcut.simplex, "_pivot_guard", lambda *_: 0)
+    assert run(["search", "--mode", "combined", "--q", "7", "--f", "2/7",
+                "--slopes", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: dual simplex cycling guard tripped\n"
+
+
 def test_epsilon_flags_conflict(capsys):
     assert run(["search", "--mode", "combined", "--q", "5", "--f", "2/5",
                 "--slopes", "2", "--epsilon", "1/8", "--exact"]) == 1

@@ -26,6 +26,8 @@ from groupcut.search import (
     SearchConfig,
     SearchError,
     VERTEX_FILTER,
+    _SPLIT_DEPTH,
+    _TreeSearch,
     branch,
     build_root_node,
     choose_branching_triangle,
@@ -150,17 +152,26 @@ def test_combined_search_small_case():
 
 
 def test_worker_count_does_not_change_results():
-    base = None
-    for workers in (1, 2, 3):
-        cfg = SearchConfig(q=7, f_index=2, target_slopes=2, mode=COMBINED,
-                           exp_dim_threshold=4, worker_count=workers)
-        out = run_search(cfg)
-        key = ([fn.values for fn in out.functions],
-               [tuple(p.to_lines()) for p in out.paintings])
-        if base is None:
-            base = key
-        else:
-            assert key == base
+    # (7, 2) stops at the root; (8, 3) with threshold 0 hands two subtrees
+    # to workers, each replayed from the root.
+    for q, f, threshold in ((7, 2, 4), (8, 3, 0)):
+        base = None
+        for workers in (1, 2, 3):
+            cfg = SearchConfig(q=q, f_index=f, target_slopes=2, mode=COMBINED,
+                               exp_dim_threshold=threshold,
+                               worker_count=workers)
+            out = run_search(cfg)
+            key = ([fn.values for fn in out.functions],
+                   [tuple(p.to_lines()) for p in out.paintings],
+                   out.stats)
+            if base is None:
+                base = key
+            else:
+                assert key == base
+    splitter = _TreeSearch(cfg, collect_paths_at=_SPLIT_DEPTH)
+    splitter.run()
+    assert len(splitter.pending_paths) == 2
+    assert base[2]["nodes"] == 129
 
 
 def test_outputs_are_canonically_sorted():
