@@ -12,6 +12,7 @@ largest denominators that actually occur among vertex functions.
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
 from .extremality import is_extreme
 from .grid_functions import arithmetic_complexity
@@ -22,12 +23,6 @@ from .polyhedra import (build_minimal_function_polytope, enumerate_vertices,
 
 class BoundsError(ValueError):
     pass
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _halve(x, q):
@@ -53,7 +48,7 @@ class HalvingSequence:
         q, f, a = self.q, self.f_index, self.a
         if q < 3 or q % 2 == 0:
             raise BoundsError("q must be odd and at least 3")
-        if not 0 < f < q or _gcd(q, f) != 1:
+        if not 0 < f < q or gcd(q, f) != 1:
             raise BoundsError("f_index must be coprime to q")
         if len(a) != q or sorted(a) != list(range(q)):
             raise BoundsError("sequence must visit every residue once")
@@ -73,7 +68,7 @@ def construct_sequence(q, f_index):
     """Greedy halving sequence: always halve the earliest usable element."""
     if q < 3 or q % 2 == 0:
         raise BoundsError("q must be odd and at least 3")
-    if not 0 < f_index < q or _gcd(q, f_index) != 1:
+    if not 0 < f_index < q or gcd(q, f_index) != 1:
         raise BoundsError("f_index must be coprime to q")
     seq = [0, f_index, _halve(f_index, q)]
     seen = set(seq)

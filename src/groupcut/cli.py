@@ -238,7 +238,9 @@ def _build_parser():
     group.add_argument("--epsilon", default="1/4", metavar="P/Q",
                        help="additivity margin for branching (default 1/4)")
     group.add_argument("--exact", action="store_true",
-                       help="margin small enough to lose nothing")
+                       help="margin 1/10^ceil(q/4); loses no extreme function "
+                       "only if det^4 <= 10^q for every basis, which "
+                       "'groupcut bounds' samples but does not prove")
     p.add_argument("--workers", type=int, default=1, metavar="W")
     p.add_argument("--out", metavar="DIR",
                    help="also write one file per result plus index.jsonl")

@@ -5,9 +5,19 @@ Faces are vertices, edges, and triangles of the standard triangulation of
 green (additivity holds on the face), white (strict subadditivity), grey
 (undecided). The reflection across the main diagonal is a symmetry of the
 additivity pattern, so paintings store one canonical face per orbit.
+
+A complete painting is determined by which vertices are additive, so the
+package's kernel works on integers instead of faces: a q x q additivity
+table, one pass over the grid cells that reads each edge and triangle off
+its corners (green_cells), and one interval union-find with coverage
+(IntervalUnion). Extremality, the vertex filter and the MIP assignment
+read the table directly; Painting is for partial, grey-bearing paintings
+(the search tree, the prescribed patterns, pictures and to_lines output).
 """
 
 from typing import NamedTuple
+
+from .rationals import lcm_denominators
 
 VERTEX = "vertex"
 HEDGE = "hedge"
@@ -126,7 +136,11 @@ def iter_canonical_faces(q, kinds=_KINDS):
 
 
 class Painting:
-    """Face colors stored per canonical face; unset faces read as grey."""
+    """Face colors stored per canonical face; unset faces read as grey.
+
+    Meant for partial paintings: a painting fully determined by a function
+    is cheaper to use as its additivity table (function_table).
+    """
 
     __slots__ = ("q", "_colors")
 
@@ -189,34 +203,6 @@ class Painting:
         return painting
 
 
-def painting_from_function(fn):
-    """Color every face by additivity of fn: green exactly where Δπ = 0.
-
-    Vertices get the direct test; a higher face is green when all of its
-    corner vertices are green and white otherwise, so the result has no
-    grey faces.
-    """
-    q = fn.q
-    painting = Painting(q)
-    green_vertices = set()
-    for x in range(q):
-        for y in range(x, q):
-            face = Face(VERTEX, x, y)
-            if fn.delta(x, y) == 0:
-                painting.set_color(face, GREEN)
-                green_vertices.add((x, y))
-            else:
-                painting.set_color(face, WHITE)
-    for face in iter_canonical_faces(q, (HEDGE, DEDGE, LOWER, UPPER)):
-        corners = corner_vertices(face, q)
-        if all((min(v.x, v.y), max(v.x, v.y)) in green_vertices
-               for v in corners):
-            painting.set_color(face, GREEN)
-        else:
-            painting.set_color(face, WHITE)
-    return painting
-
-
 class ComponentPartition:
     """Intervals 0..q-1 grouped by additivity connections, with coverage."""
 
@@ -265,6 +251,154 @@ class ComponentPartition:
                 and self._covered == other._covered)
 
 
+class IntervalUnion:
+    """Incremental union-find over the q intervals, with coverage.
+
+    Green edges join their two interval projections; green triangles join
+    their three and cover them. Coverage spreads to everything merged in,
+    so the result does not depend on the order faces arrive in.
+    """
+
+    __slots__ = ("q", "count", "_parent", "_covered")
+
+    def __init__(self, q):
+        self.q = q
+        self.count = q
+        self._parent = list(range(q))
+        self._covered = [False] * q
+
+    def clone(self):
+        dup = IntervalUnion.__new__(IntervalUnion)
+        dup.q, dup.count = self.q, self.count
+        dup._parent = list(self._parent)
+        dup._covered = list(self._covered)
+        return dup
+
+    def find(self, a):
+        parent = self._parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def join(self, a, b, cover=False):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self._parent[rb] = ra
+            self._covered[ra] = self._covered[ra] or self._covered[rb]
+            self.count -= 1
+        if cover:
+            self._covered[ra] = True
+
+    def add_face(self, face):
+        """Merge along one green face given as (kind, x, y)."""
+        kind, x, y = face
+        q = self.q
+        if kind == HEDGE:
+            self.join(x, (x + y) % q)
+        elif kind == VEDGE:
+            self.join(y, (x + y) % q)
+        elif kind == DEDGE:
+            self.join(x, y)
+        elif kind == LOWER:
+            self.join(x, y)
+            self.join(x, (x + y) % q, True)
+        elif kind == UPPER:
+            self.join(x, y)
+            self.join(x, (x + y + 1) % q, True)
+
+    def is_covered(self, z):
+        return self._covered[self.find(z)]
+
+    def all_covered(self):
+        return all(self.is_covered(z) for z in range(self.q))
+
+    def partition(self):
+        groups = {}
+        for z in range(self.q):
+            groups.setdefault(self.find(z), []).append(z)
+        return ComponentPartition(self.q, list(groups.values()),
+                                  [self._covered[root] for root in groups])
+
+
+def additivity_table(keys):
+    """The q x q additivity table of integer keys on the grid.
+
+    table[x][y] is True exactly when keys[x] + keys[y] == keys[(x+y) mod q];
+    the table is symmetric. Keys are whatever integers turn additivity into
+    that one test: scaled function values, or packed value forms.
+    """
+    wrapped = list(keys) * 2
+    return [[kx + ky == kz for ky, kz in zip(keys, wrapped[x:])]
+            for x, kx in enumerate(keys)]
+
+
+def function_table(fn):
+    """Additivity table of fn: its values over their common denominator."""
+    den = lcm_denominators(fn.values)
+    return additivity_table([int(v.numerator) * (den // int(v.denominator))
+                             for v in fn.values])
+
+
+def green_cells(table):
+    """Canonical green edges and triangles as (kind, x, y), read off corners.
+
+    An edge or triangle is green when all of its corner vertices are
+    additive, so one pass over the grid cells reads hedge, dedge, lower
+    and upper straight from the four corners of each cell.
+    """
+    q = len(table)
+    for x in range(q):
+        row, row1 = table[x], table[(x + 1) % q]
+        for y in range(q):
+            if row[y] and row1[y]:
+                yield (HEDGE, x, y)
+            if y < x:
+                continue
+            y1 = (y + 1) % q
+            if row[y1] and row1[y]:
+                yield (DEDGE, x, y)
+                if row[y]:
+                    yield (LOWER, x, y)
+                if row1[y1]:
+                    yield (UPPER, x, y)
+
+
+def paint_table(table, rest=GREY):
+    """Painting whose green faces are the table's; every other face is rest."""
+    q = len(table)
+    painting = Painting(q)
+    colors = painting._colors
+    if rest != GREY:
+        colors.update(dict.fromkeys(iter_canonical_faces(q), rest))
+    for x in range(q):
+        row = table[x]
+        for y in range(x, q):
+            if row[y]:
+                colors[Face(VERTEX, x, y)] = GREEN
+    for cell in green_cells(table):
+        colors[Face(*cell)] = GREEN
+    return painting
+
+
+def painting_from_function(fn):
+    """Color every face by additivity of fn: green exactly where Δπ = 0.
+
+    Vertices get the direct test; a higher face is green when all of its
+    corner vertices are green and white otherwise, so the result has no
+    grey faces.
+    """
+    return paint_table(function_table(fn), WHITE)
+
+
+def table_components(table):
+    """ComponentPartition of the painting a table determines, without one."""
+    union = IntervalUnion(len(table))
+    for cell in green_cells(table):
+        union.add_face(cell)
+    return union.partition()
+
+
 def validate_inclusion(painting):
     """Raise when a green edge or triangle has a non-green corner vertex."""
     q = painting.q
@@ -283,43 +417,14 @@ def covered_components(painting, q=None):
 
     Each green triangle directly covers its three interval projections and
     joins them into one component; each green edge joins its two interval
-    projections without covering. Coverage spreads to everything merged in,
-    so the fixed point does not depend on processing order.
+    projections without covering.
     """
     if q is None:
         q = painting.q
     elif q != painting.q:
         raise PaintingError("painting grid size disagrees with q")
     validate_inclusion(painting)
-    parent = list(range(q))
-    covered = [False] * q
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return
-        parent[rb] = ra
-        covered[ra] = covered[ra] or covered[rb]
-
+    union = IntervalUnion(q)
     for face in painting.green_faces():
-        if face.kind == VERTEX:
-            continue
-        spans = interval_projections(face, q)
-        if face.kind in (LOWER, UPPER):
-            covered[find(spans[0])] = True
-        first = spans[0]
-        for z in spans[1:]:
-            union(first, z)
-
-    groups = {}
-    for z in range(q):
-        groups.setdefault(find(z), []).append(z)
-    sets = list(groups.values())
-    flags = [covered[root] for root in groups]
-    return ComponentPartition(q, sets, flags)
+        union.add_face(face)
+    return union.partition()

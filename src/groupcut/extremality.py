@@ -4,15 +4,15 @@ A minimal function is extreme when it is not the midpoint of two distinct
 minimal functions. At grid order q that reduces to three checks: minimality,
 being a vertex of the minimal-function polytope (the additivity relations
 that hold at the function pin it down), and all q intervals being covered
-by the additivity complex.
+by the additivity complex. The last two read one additivity table.
 """
 
 from typing import NamedTuple
 
-from .complex2d import covered_components, painting_from_function
+from .complex2d import function_table, table_components
 from .grid_functions import FunctionError, is_minimal, restrict
 from .linalg import matrix_rank
-from .polyhedra import symmetry_pairs
+from .polyhedra import _pi_row, symmetry_pairs
 
 
 class ExtremalityResult(NamedTuple):
@@ -23,39 +23,27 @@ class ExtremalityResult(NamedTuple):
     uncovered_intervals: tuple
 
 
-def _certifying_rows(fn):
+def _certifying_rows(q, f_index, table):
     """Equality rows pinning fn, over value variables 1..q-1 (pi_0 fixed)."""
-    q = fn.q
-    rows = []
-    for pair in symmetry_pairs(q, fn.f_index):
-        row = [0] * (q - 1)
-        for x in pair:
-            if x:
-                row[x - 1] += 1
-        if len(pair) == 1:
-            x = next(iter(pair))
-            if x:
-                row[x - 1] = 2
-        if any(row):
-            rows.append(row)
+    rows = [_pi_row(q, [(x, 1), (partner, 1)])
+            for x, partner in symmetry_pairs(q, f_index)]
     for x in range(q):
+        row = table[x]
         for y in range(x, q):
-            if fn.delta(x, y) != 0:
-                continue
-            row = [0] * (q - 1)
-            for idx, c in ((x, 1), (y, 1), ((x + y) % q, -1)):
-                if idx:
-                    row[idx - 1] += c
-            if any(row):
-                rows.append(row)
-    return rows
+            if row[y]:
+                rows.append(_pi_row(q, [(x, 1), (y, 1), (x + y, -1)]))
+    return [row for row in rows if any(row)]
+
+
+def _is_vertex(fn, table):
+    q = fn.q
+    rows = _certifying_rows(q, fn.f_index, table)
+    return matrix_rank(rows, q - 1, stop_at=q - 1) == q - 1
 
 
 def is_polytope_vertex(fn):
     """Whether the equalities tight at fn determine it uniquely."""
-    q = fn.q
-    rows = _certifying_rows(fn)
-    return matrix_rank(rows, q - 1, stop_at=q - 1) == q - 1
+    return _is_vertex(fn, function_table(fn))
 
 
 def oversampling_vertex_test(fn, m):
@@ -76,8 +64,9 @@ def is_extreme(fn):
     polytope, and its additivity painting covers every interval.
     """
     minimal = is_minimal(fn)
-    vertex = is_polytope_vertex(fn)
-    partition = covered_components(painting_from_function(fn))
+    table = function_table(fn)
+    vertex = _is_vertex(fn, table)
+    partition = table_components(table)
     covered = partition.all_covered()
     uncovered = tuple(sorted(partition.uncovered_intervals()))
     return ExtremalityResult(

@@ -10,6 +10,7 @@ reflection identity pi_x + pi_{(f-x) mod q} = 1.
 """
 
 import json
+from math import gcd
 
 from .rationals import Q, QZERO, QONE, format_rational, lcm_denominators, parse_rational
 
@@ -79,10 +80,6 @@ class GridFunction:
 
     def sort_key(self):
         return (self.q, self.f_index) + self.values
-
-
-def from_values(q, f_index, values):
-    return GridFunction(q, f_index, values)
 
 
 def gmic(q, f_index):
@@ -163,7 +160,7 @@ def apply_automorphism(fn, a):
     the reflection identity, so it maps minimal functions to minimal ones.
     """
     q = fn.q
-    if _gcd(a % q, q) != 1:
+    if gcd(a % q, q) != 1:
         raise FunctionError("%d is not a unit mod %d" % (a, q))
     inv = pow(a % q, -1, q)
     vals = [fn.values[(inv * x) % q] for x in range(q)]
@@ -202,9 +199,3 @@ def load_function(path):
         except json.JSONDecodeError as exc:
             raise FunctionError("not a function file: %s" % exc) from exc
     return from_json_dict(data)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

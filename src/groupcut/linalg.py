@@ -7,19 +7,9 @@ sets, and the fraction-free Bareiss determinant. Matrices here are tiny
 exactness, not asymptotics.
 """
 
+from math import gcd
+
 from .rationals import Q, QZERO, QONE
-
-
-def _row_gcd(row):
-    g = 0
-    for v in row:
-        if v:
-            v = -v if v < 0 else v
-            while v:
-                g, v = v, g % v
-        if g == 1:
-            return 1
-    return g
 
 
 def integerize(row):
@@ -29,15 +19,14 @@ def integerize(row):
         if isinstance(v, int):
             continue
         d = int(v.denominator)
-        g = _gcd(den, d)
-        den = den // g * d
+        den = den // gcd(den, d) * d
     out = []
     for v in row:
         if isinstance(v, int):
             out.append(v * den)
         else:
             out.append(int(v.numerator) * (den // int(v.denominator)))
-    g = _row_gcd(out)
+    g = gcd(*out)
     if g > 1:
         out = [v // g for v in out]
     return out
@@ -74,7 +63,7 @@ class RankTracker:
             piv = self.pivot_rows[col]
             plead = piv[col]
             work = [w * plead - p * lead for w, p in zip(work, piv)]
-            g = _row_gcd(work)
+            g = gcd(*work)
             if g > 1:
                 work = [w // g for w in work]
         for col, v in enumerate(work):
@@ -174,9 +163,3 @@ def det_bareiss(matrix):
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

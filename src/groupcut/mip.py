@@ -24,6 +24,7 @@ import math
 import os
 import re
 
+from .complex2d import DEDGE, HEDGE, LOWER, UPPER, function_table, green_cells
 from .grid_functions import GridFunction
 from .polyhedra import symmetry_pairs
 from .rationals import Q, lcm_denominators, parse_rational, snap_to_denominator
@@ -64,6 +65,10 @@ def _vertex_var(q, x, y):
     if x > y:
         x, y = y, x
     return "p_%d_%d" % (x, y)
+
+
+# painting variable prefix of each canonical edge or triangle kind
+_CELL_PREFIX = {DEDGE: "d", LOWER: "l", UPPER: "u"}
 
 
 def _face_var(prefix, q, x, y):
@@ -915,32 +920,19 @@ def function_assignment(model, fn):
         for jj in range(1, model.k + 1):
             assignment["delta_%d_%d" % (x, jj)] = 1 if jj == j else 0
 
-    additive = set()
-    for x in range(q):
-        for y in range(x, q):
-            if fn.delta(x, y) == 0:
-                additive.add((x, y))
+    table = function_table(fn)
     assignment.update(
-        (("p_%d_%d" % (x, y)), 0 if (x, y) in additive else 1)
+        (("p_%d_%d" % (x, y)), 0 if table[x][y] else 1)
         for x in range(q) for y in range(x, q))
-
-    def corner_white(points):
-        for cx, cy in points:
-            cx %= q
-            cy %= q
-            if (cx, cy) not in additive and (cy, cx) not in additive:
-                return 1
-        return 0
-
     for x in range(q):
         for y in range(x, q):
-            a, b, c, d = (x, y), (x, y + 1), (x + 1, y), (x + 1, y + 1)
-            assignment["l_%d_%d" % (x, y)] = corner_white((a, b, c))
-            assignment["u_%d_%d" % (x, y)] = corner_white((b, d, c))
-            assignment["h_%d_%d" % (x, y)] = corner_white((a, c))
-            if x < y:
-                assignment["v_%d_%d" % (x, y)] = corner_white((a, b))
-            assignment["d_%d_%d" % (x, y)] = corner_white((b, c))
+            for prefix in ("luhvd" if x < y else "luhd"):
+                assignment["%s_%d_%d" % (prefix, x, y)] = 1
+    for kind, x, y in green_cells(table):
+        if kind == HEDGE:
+            assignment[_hedge_var(q, x, y)] = 0
+        else:
+            assignment[_face_var(_CELL_PREFIX[kind], q, x, y)] = 0
 
     uncovered = [z for z in range(q)
                  if all(assignment[t] for t in _direct_cover_vars(q, z))]

@@ -16,20 +16,7 @@ mirrored blocks descend by the same amounts, which is baked into the
 value formulas rather than carried as extra variables.
 """
 
-from dataclasses import dataclass
-
-from .complex2d import (
-    DEDGE,
-    Face,
-    GREEN,
-    HEDGE,
-    LOWER,
-    Painting,
-    UPPER,
-    VERTEX,
-    corner_vertices,
-    iter_canonical_faces,
-)
+from .complex2d import additivity_table, paint_table
 from .extremality import is_extreme
 from .grid_functions import GridFunction, number_of_slopes
 from .polyhedra import Polytope, enumerate_vertices
@@ -148,36 +135,6 @@ def _delta_form(forms, q, x, y):
     return tuple(a + b - c for a, b, c in zip(forms[x], forms[y], fz))
 
 
-@dataclass(frozen=True)
-class PatternInstance:
-    """A family member r together with a concrete slope vector."""
-
-    r: int
-    slopes: tuple
-
-    def __post_init__(self):
-        _check_r(self.r)
-        object.__setattr__(self, "slopes", tuple(Q(s) for s in self.slopes))
-        if len(self.slopes) != self.r + 2:
-            raise PatternError(
-                "expected %d slope values, got %d" % (self.r + 2, len(self.slopes)))
-
-    @property
-    def q(self):
-        return 36 * self.r + 22
-
-    @property
-    def f_index(self):
-        return self.q // 2
-
-    def satisfies_normalization(self):
-        norm = _normalization_form(self.r)
-        return sum(c * s for c, s in zip(norm, self.slopes)) == 1
-
-    def function(self):
-        return pi_from_slopes(self.r, self.slopes)
-
-
 def pi_from_slopes(r, slopes):
     """Function values from a slope vector; linear, no feasibility check.
 
@@ -236,26 +193,13 @@ def build_prescribed_painting(r):
     diagonals x + y = 1/2 and x + y = 3/2.
     """
     _check_r(r)
-    q = 36 * r + 22
     forms = _value_forms(r)
-    painting = Painting(q)
-    green = set()
-    for x in range(q):
-        fx = forms[x]
-        for y in range(x, q):
-            fy = forms[y]
-            fz = forms[(x + y) % q]
-            for a, b, c in zip(fx, fy, fz):
-                if a + b != c:
-                    break
-            else:
-                painting.set_color(Face(VERTEX, x, y), GREEN)
-                green.add((x, y))
-    for face in iter_canonical_faces(q, (HEDGE, DEDGE, LOWER, UPPER)):
-        if all((min(v.x, v.y), max(v.x, v.y)) in green
-               for v in corner_vertices(face, q)):
-            painting.set_color(face, GREEN)
-    return painting
+    # pack each form into one integer in base 6*max|c| + 1: a combination
+    # a + b - c of three forms then has digits below base/2, so it packs
+    # to 0 exactly when it vanishes
+    base = 6 * max(abs(c) for form in forms for c in form) + 1
+    keys = [sum(c * base ** i for i, c in enumerate(form)) for form in forms]
+    return paint_table(additivity_table(keys))
 
 
 def build_slope_polytope(r):

@@ -8,6 +8,7 @@ below so the two backends stay interchangeable.
 """
 
 from fractions import Fraction
+from math import gcd
 
 try:
     from gmpy2 import mpq as Q  # type: ignore
@@ -66,24 +67,13 @@ def format_rational(x):
     return "%d/%d" % (n, d)
 
 
-def is_integral(x):
-    return x.denominator == 1
-
-
 def lcm_denominators(values):
     """Least common multiple of the denominators of an iterable of Q."""
     out = 1
     for v in values:
         d = int(v.denominator)
-        g = _gcd(out, d)
-        out = out // g * d
+        out = out // gcd(out, d) * d
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def snap_to_denominator(x, max_denominator):

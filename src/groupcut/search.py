@@ -17,13 +17,13 @@ import multiprocessing
 from dataclasses import dataclass, field
 
 from .complex2d import (DEDGE, GREEN, GREY, HEDGE, LOWER, UPPER, VEDGE,
-                        VERTEX, WHITE, ComponentPartition, Face, Painting,
-                        canonical, corner_vertices, interval_projections,
-                        iter_canonical_faces)
+                        VERTEX, WHITE, Face, IntervalUnion, Painting,
+                        canonical, corner_vertices, function_table,
+                        iter_canonical_faces, table_components)
 from .extremality import is_extreme
 from .grid_functions import number_of_slopes
 from .linalg import RankTracker
-from .polyhedra import (Polytope, build_minimal_function_polytope,
+from .polyhedra import (Polytope, _pi_row, build_minimal_function_polytope,
                         enumerate_vertices, function_from_vertex)
 from .rationals import Q
 from .simplex import LpState, OPTIMAL
@@ -44,7 +44,12 @@ class SearchError(ValueError):
 
 
 def exact_epsilon(q):
-    """Additivity margin small enough to lose no extreme function."""
+    """Additivity margin 1/10^ceil(q/4), below every strict vertex slack.
+
+    That loses no extreme function only if every basis determinant obeys
+    det^4 <= 10^q, a bound bounds.check_upper_bound samples but does not
+    prove (the test suite checks it for q <= 13).
+    """
     return Q(1, 10 ** ((q + 3) // 4))
 
 
@@ -85,94 +90,42 @@ class SearchOutcome:
 class SearchNode:
     """One node of the backtracking tree.
 
-    The node owns its LP state and painting outright; children are made
-    by cloning, so a node can be mutated freely by the search driver that
-    holds it. `path` records the branch decisions from the root, which is
-    enough to rebuild the node from scratch (workers do exactly that).
+    The node owns its LP state, painting and interval components outright;
+    children are made by cloning, so a node can be mutated freely by the
+    search driver that holds it. `path` records the branch decisions from
+    the root, which is enough to rebuild the node from scratch (workers do
+    exactly that).
     """
 
     __slots__ = ("system", "painting", "lp", "depth", "path", "branched",
-                 "_parent", "_covered", "_ncomp", "_cs", "_point")
+                 "intervals", "_cs")
 
     def __init__(self, system, painting, lp, depth, path, branched,
-                 parent, covered, ncomp, cs):
+                 intervals, cs):
         self.system = system
         self.painting = painting
         self.lp = lp
         self.depth = depth
         self.path = path
         self.branched = branched
-        self._parent = parent
-        self._covered = covered
-        self._ncomp = ncomp
+        self.intervals = intervals
         self._cs = cs
-        self._point = None
 
     def clone(self):
         return SearchNode(self.system, self.painting.copy(), self.lp.clone(),
                           self.depth, self.path, set(self.branched),
-                          list(self._parent), list(self._covered),
-                          self._ncomp, self._cs.clone())
-
-    # -- interval components ------------------------------------------
-
-    def _find(self, a):
-        parent = self._parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def _union(self, a, b):
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return
-        if rb < ra:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._covered[ra] = self._covered[ra] or self._covered[rb]
-        self._ncomp -= 1
-
-    def _absorb_green_face(self, face):
-        spans = interval_projections(face, self.painting.q)
-        if not spans:
-            return
-        if face.kind in (LOWER, UPPER):
-            self._covered[self._find(spans[0])] = True
-        for z in spans[1:]:
-            self._union(spans[0], z)
-
-    def component_count(self):
-        return self._ncomp
-
-    def is_covered(self, z):
-        return self._covered[self._find(z)]
-
-    def all_covered(self):
-        return all(self._covered[self._find(z)]
-                   for z in range(self.painting.q))
-
-    @property
-    def components(self):
-        """The incremental interval partition, frozen as ComponentPartition."""
-        groups = {}
-        for z in range(self.painting.q):
-            groups.setdefault(self._find(z), []).append(z)
-        roots = sorted(groups)
-        return ComponentPartition(self.painting.q,
-                                  [groups[r] for r in roots],
-                                  [self._covered[r] for r in roots])
+                          self.intervals.clone(), self._cs.clone())
 
     def exp_dim(self):
         return self.painting.q - self._cs.rank
 
-    def feasible_point(self):
-        if self._point is None:
-            self._point = self.lp.point()
-        return self._point
 
-    def invalidate_point(self):
-        self._point = None
+def _delta_row(q, x, y):
+    """The additivity slack of vertex (x, y) over all q function values."""
+    row = [0] * q
+    for var, c in ((x, 1), (y, 1), ((x + y) % q, -1)):
+        row[var] += c
+    return row
 
 
 class _RootSystem:
@@ -198,19 +151,13 @@ class _RootSystem:
         self.row_of = {}
         for x in range(1, q):
             for y in range(x, q):
-                coeffs = {}
-                for var, c in ((x, 1), (y, 1), ((x + y) % q, -1)):
-                    coeffs[var] = coeffs.get(var, 0) + c
+                coeffs = {v: c for v, c in enumerate(_delta_row(q, x, y)) if c}
                 self.row_of[Face(VERTEX, x, y)] = lp.add_row(coeffs, 0, None)
         self.lp = lp
 
     def delta_coeff_row(self, vtx):
         """The vertex's additivity row over all q function values."""
-        q = self.config.q
-        row = [0] * q
-        for var, c in ((vtx.x, 1), (vtx.y, 1), ((vtx.x + vtx.y) % q, -1)):
-            row[var] += c
-        return row
+        return _delta_row(self.config.q, vtx.x, vtx.y)
 
     def build_root(self):
         q, f = self.config.q, self.config.f_index
@@ -219,7 +166,7 @@ class _RootSystem:
         cs.add_row([1 if x == 0 else 0 for x in range(q)])
         cs.add_row([1 if x == f else 0 for x in range(q)])
         node = SearchNode(self, painting, self.lp.clone(), 0, (), set(),
-                          list(range(q)), [False] * q, q, cs)
+                          IntervalUnion(q), cs)
         greens = []
         for y in range(q):
             vtx = Face(VERTEX, 0, y)
@@ -264,7 +211,7 @@ class _RootSystem:
             if all(painting.color(c) == GREEN
                    for c in corner_vertices(face, q)):
                 painting.set_color(face, GREEN)
-                node._absorb_green_face(face)
+                node.intervals.add_face(face)
 
     def apply_decision(self, node, triangle, make_green):
         """Mutate `node` into the chosen child of a branch step."""
@@ -278,7 +225,7 @@ class _RootSystem:
                     self._make_vertex_green(node, vtx)
                     fresh.append(vtx)
             node.painting.set_color(triangle, GREEN)
-            node._absorb_green_face(triangle)
+            node.intervals.add_face(triangle)
             self._lift(node, fresh)
         else:
             coeffs = {}
@@ -291,7 +238,6 @@ class _RootSystem:
         node.depth += 1
         node.path = node.path + ((triangle, make_green),)
         node.branched.add(triangle)
-        node.invalidate_point()
         return node
 
     # -- node operations --------------------------------------------------
@@ -312,7 +258,6 @@ class _RootSystem:
         lexicographic order decides every vertex exactly.
         """
         lp = node.lp
-        node.invalidate_point()
         if not lp.restore_feasible():
             return False
         q = self.config.q
@@ -331,7 +276,6 @@ class _RootSystem:
                 if val == 0:
                     self._make_vertex_green(node, vtx)
                     self._lift(node, [vtx])
-        node._point = point
         return True
 
     def choose_branching_triangle(self, node):
@@ -349,7 +293,8 @@ class _RootSystem:
                 continue
             if face in node.branched:
                 continue
-            if node.is_covered(face.x) or node.is_covered(face.y):
+            if (node.intervals.is_covered(face.x)
+                    or node.intervals.is_covered(face.y)):
                 continue
             yield face
 
@@ -377,7 +322,7 @@ class _TreeSearch:
                 self.system.apply_decision(node, triangle, make_green)
             # the run that handed out this path has counted its node
             self.stats["nodes"] -= 1
-        self._visit(node)
+        self._walk(node)
         return self._outcome()
 
     def _outcome(self):
@@ -388,38 +333,52 @@ class _TreeSearch:
         out.stats = dict(self.stats)
         return out
 
-    def _visit(self, node):
+    def _walk(self, root):
+        """Preorder over the tree: a node, then its green, then its white side.
+
+        An explicit stack instead of recursion, so tree depth is not bound
+        by Python's recursion limit.
+        """
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            children = self._expand(node)
+            if children:
+                green, white = children
+                stack.append(white)
+                stack.append(green)
+
+    def _expand(self, node):
+        """Process one node; returns its (green, white) children, or None."""
         self.stats["nodes"] += 1
         if not self.system.propagate_implied(node):
             self.stats["infeasible"] += 1
-            return
+            return None
         if self.node_observer is not None:
             self.node_observer(node)
-        if node.component_count() < self.config.target_slopes:
+        if node.intervals.count < self.config.target_slopes:
             self.stats["pruned_components"] += 1
-            return
-        covering = node.all_covered()
+            return None
+        covering = node.intervals.all_covered()
         if self.config.mode == COMBINED:
             if covering or node.exp_dim() <= self.config.exp_dim_threshold:
                 self.stats["stop_nodes"] += 1
                 self.paintings.append(node.painting.copy())
                 self._enumerate_restriction(node)
-                return
+                return None
         elif covering:
             self.stats["covering_paintings"] += 1
             self.paintings.append(node.painting.copy())
-            return
+            return None
         triangle = self.system.choose_branching_triangle(node)
         if triangle is None:
             self.stats["dead_ends"] += 1
-            return
+            return None
         if (self.collect_paths_at is not None
                 and node.depth >= self.collect_paths_at):
             self.pending_paths.append(node.path)
-            return
-        green, white = self.system.branch(node, triangle)
-        self._visit(green)
-        self._visit(white)
+            return None
+        return self.system.branch(node, triangle)
 
     def _enumerate_restriction(self, node):
         for fn in restricted_polytope_functions(self.config, node.painting):
@@ -447,10 +406,7 @@ def restricted_polytope_functions(config, painting):
     for face in painting.faces_with_color(GREEN):
         if face.kind != VERTEX:
             continue
-        row = [0] * (q - 1)
-        for var, c in ((face.x, 1), (face.y, 1), ((face.x + face.y) % q, -1)):
-            if var:
-                row[var - 1] += c
+        row = _pi_row(q, [(face.x, 1), (face.y, 1), (face.x + face.y, -1)])
         if any(row):
             eqs.append((row, 0))
     poly = Polytope(base.nvars, base.ineqs, eqs)
@@ -526,8 +482,6 @@ def run_search(config, node_observer=None):
 
 
 def _run_vertex_filter(config):
-    from .complex2d import covered_components, painting_from_function
-
     out = SearchOutcome()
     out.stats = {"vertices": 0, "covered": 0}
     poly = build_minimal_function_polytope(config.q, config.f_index)
@@ -535,8 +489,7 @@ def _run_vertex_filter(config):
     for coords in enumerate_vertices(poly):
         out.stats["vertices"] += 1
         fn = function_from_vertex(config.q, config.f_index, coords)
-        comps = covered_components(painting_from_function(fn))
-        if not comps.all_covered():
+        if not table_components(function_table(fn)).all_covered():
             continue
         out.stats["covered"] += 1
         kept.append(fn)

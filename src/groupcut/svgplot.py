@@ -17,6 +17,7 @@ from .complex2d import (
     VEDGE,
     VERTEX,
     Face,
+    IntervalUnion,
     Painting,
     interval_projections,
     painting_from_function,
@@ -50,37 +51,22 @@ _DIAGONAL_STROKE = "#d32f2f"
 
 
 def _interval_groups(painting):
-    """Union-find over intervals joined by green faces, without validation.
+    """Interval components of the green faces, without validation.
 
-    Mirrors the merging of covered_components but tolerates paintings that
-    break the corner-inclusion rule, which a picture should display rather
-    than reject.
+    Merges like covered_components but tolerates paintings that break the
+    corner-inclusion rule, which a picture should display rather than
+    reject. Intervals no green face projects onto never ask for a fill, so
+    only the touched components consume palette slots.
     """
-    q = painting.q
-    parent = list(range(q))
+    union = IntervalUnion(painting.q)
     touched = set()
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for face in painting.green_faces():
-        if face.kind == VERTEX:
-            continue
-        spans = interval_projections(face, q)
-        touched.update(spans)
-        for z in spans[1:]:
-            ra, rb = find(spans[0]), find(z)
-            if ra != rb:
-                parent[rb] = ra
-    # intervals no green face projects onto never ask for a fill, so only
-    # the touched components consume palette slots
-    roots = sorted({find(z) for z in touched}, key=lambda r: min(
-        z for z in touched if find(z) == r))
-    order = {root: idx for idx, root in enumerate(roots)}
-    return {z: order[find(z)] for z in touched}
+        touched.update(interval_projections(face, painting.q))
+        union.add_face(face)
+    parts = [members & touched
+             for members, _ in union.partition().components()]
+    return {z: idx for idx, part in enumerate(p for p in parts if p)
+            for z in part}
 
 
 def _face_fill(painting, face, groups):

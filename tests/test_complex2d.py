@@ -19,15 +19,23 @@ from groupcut.complex2d import (
     corner_vertices,
     covered_components,
     Face,
+    function_table,
     interval_projections,
     iter_canonical_faces,
     Painting,
     PaintingError,
     painting_from_function,
     projections,
+    table_components,
     validate_inclusion,
 )
 from groupcut.grid_functions import gmic
+from groupcut.patterns import build_slope_polytope, pi_from_slopes
+from groupcut.polyhedra import (
+    build_minimal_function_polytope,
+    enumerate_vertices,
+    function_from_vertex,
+)
 
 
 def test_canonical_forms():
@@ -204,3 +212,47 @@ def test_component_partition_direct_construction():
     assert part.uncovered_intervals() == {2, 3}
     assert part.component_of(3) == frozenset({2, 3})
     assert not part.all_covered()
+
+
+def _naive_components(fn):
+    """Interval components straight from the deltas, without the kernel."""
+    q = fn.q
+    additive = {(x, y) for x in range(q) for y in range(q)
+                if fn.delta(x, y) == 0}
+    links = {z: {z} for z in range(q)}
+    direct = set()
+    for face in iter_canonical_faces(q, (HEDGE, DEDGE, LOWER, UPPER)):
+        if not all(v[1:] in additive for v in corner_vertices(face, q)):
+            continue
+        spans = interval_projections(face, q)
+        for z in spans:
+            links[z].update(spans)
+        if face.kind in (LOWER, UPPER):
+            direct.update(spans)
+    out, seen = [], set()
+    for z in range(q):
+        if z in seen:
+            continue
+        comp, todo = set(), [z]
+        while todo:
+            a = todo.pop()
+            if a not in comp:
+                comp.add(a)
+                todo.extend(links[a])
+        seen |= comp
+        out.append((frozenset(comp), bool(comp & direct)))
+    return out
+
+
+def test_table_components_match_painting_path():
+    fns = [function_from_vertex(q, f, coords)
+           for q in range(5, 14) for f in range(1, q)
+           for coords in enumerate_vertices(
+               build_minimal_function_polytope(q, f))]
+    fns += [pi_from_slopes(1, v)
+            for v in enumerate_vertices(build_slope_polytope(1))]
+    assert len(fns) == 1111
+    for fn in fns:
+        kernel = table_components(function_table(fn))
+        assert kernel == covered_components(painting_from_function(fn))
+        assert kernel.components() == _naive_components(fn)

@@ -5,6 +5,11 @@ from groupcut.extremality import (
     oversampling_vertex_test,
 )
 from groupcut.grid_functions import GridFunction, apply_automorphism, gmic
+from groupcut.polyhedra import (
+    build_minimal_function_polytope,
+    enumerate_vertices,
+    function_from_vertex,
+)
 from groupcut.rationals import Q
 
 
@@ -84,3 +89,17 @@ def _coprime(a, b):
     while b:
         a, b = b, a % b
     return a == 1
+
+
+def test_is_extreme_agrees_with_oversampling_on_all_vertices():
+    vertices = extreme = 0
+    for q in range(3, 11):
+        for f in range(1, q):
+            poly = build_minimal_function_polytope(q, f)
+            for coords in enumerate_vertices(poly):
+                fn = function_from_vertex(q, f, coords)
+                verdict = is_extreme(fn).extreme
+                assert verdict == oversampling_vertex_test(fn, 3), fn
+                vertices += 1
+                extreme += verdict
+    assert (vertices, extreme) == (241, 179)

@@ -8,7 +8,6 @@ from groupcut.grid_functions import (
     apply_automorphism,
     arithmetic_complexity,
     from_json_dict,
-    from_values,
     gmic,
     is_minimal,
     is_subadditive,
@@ -154,6 +153,6 @@ def test_json_round_trip(tmp_path):
     assert load_function(str(path)) == fn
 
 
-def test_from_values_coerces_strings_and_ints():
-    fn = from_values(4, 2, ["0", "1/2", 1, "0.5"])
+def test_constructor_coerces_strings_and_ints():
+    fn = GridFunction(4, 2, ["0", "1/2", 1, "0.5"])
     assert fn.values == (Q(0), Q(1, 2), Q(1), Q(1, 2))

@@ -9,7 +9,6 @@ from groupcut.grid_functions import (
 )
 from groupcut.patterns import (
     PatternError,
-    PatternInstance,
     build_prescribed_painting,
     build_slope_polytope,
     grid_size,
@@ -105,11 +104,3 @@ def test_prescribed_greens_are_additive_on_results():
         for face in painting.green_faces():
             for corner in corner_vertices(face, fn.q):
                 assert fn.delta(corner.x, corner.y) == 0
-
-
-def test_pattern_instance_validates():
-    PatternInstance(1, (Q(1), Q(0), Q(-1)))
-    with pytest.raises(PatternError):
-        PatternInstance(0, (Q(1), Q(0)))
-    with pytest.raises(PatternError):
-        PatternInstance(1, (Q(1), Q(0)))

@@ -4,11 +4,9 @@ import pytest
 
 from groupcut.rationals import (
     Q,
-    QONE,
     QZERO,
     RationalParseError,
     format_rational,
-    is_integral,
     lcm_denominators,
     parse_rational,
     snap_to_denominator,
@@ -48,12 +46,6 @@ def test_format_round_trip(rng):
     for _ in range(200):
         x = Q(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
         assert parse_rational(format_rational(x)) == x
-
-
-def test_is_integral():
-    assert is_integral(Q(4, 2))
-    assert is_integral(QONE)
-    assert not is_integral(Q(1, 3))
 
 
 def test_to_fraction_both_directions():

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 
@@ -98,7 +99,7 @@ def test_branching_primitives():
     cfg = SearchConfig(q=4, f_index=1, mode=HEURISTIC)
     root = build_root_node(cfg)
     assert root.depth == 0
-    assert not root.all_covered()
+    assert not root.intervals.all_covered()
     tri = choose_branching_triangle(root)
     assert tri == Face(LOWER, 2, 2)
     green_child, white_child = branch(root, tri)
@@ -193,6 +194,33 @@ def test_mode_mismatch_raises():
     cfg2 = SearchConfig(q=5, f_index=2, mode=HEURISTIC)
     with pytest.raises(SearchError):
         next(combined_search(cfg2))
+
+
+def _frame_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_combined_search_branches_without_deep_recursion():
+    # This tree is 110 branch decisions deep, well past the 60 frames of
+    # headroom left here, so it only completes when the walk is iterative.
+    cfg = SearchConfig(q=14, f_index=5, target_slopes=3, mode=COMBINED,
+                       exp_dim_threshold=5)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 60)
+    try:
+        out = run_search(cfg)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.stats == {"nodes": 221, "infeasible": 83,
+                         "pruned_components": 0, "dead_ends": 1,
+                         "covering_paintings": 0, "stop_nodes": 27}
+    assert len(out.functions) == 13
+    assert all(number_of_slopes(fn) == 3 for fn in out.functions)
+    assert len(out.paintings) == 27
 
 
 def test_restricted_polytope_functions():
