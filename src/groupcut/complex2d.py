@@ -17,7 +17,7 @@ read the table directly; Painting is for partial, grey-bearing paintings
 
 from typing import NamedTuple
 
-from .rationals import lcm_denominators
+from .grid_functions import integer_values
 
 VERTEX = "vertex"
 HEDGE = "hedge"
@@ -335,9 +335,7 @@ def additivity_table(keys):
 
 def function_table(fn):
     """Additivity table of fn: its values over their common denominator."""
-    den = lcm_denominators(fn.values)
-    return additivity_table([int(v.numerator) * (den // int(v.denominator))
-                             for v in fn.values])
+    return additivity_table(integer_values(fn))
 
 
 def green_cells(table):

@@ -97,13 +97,18 @@ def gmic(q, f_index):
     return GridFunction(q, f_index, vals)
 
 
+def integer_values(fn):
+    """The values scaled over their common denominator, as integers."""
+    den = lcm_denominators(fn.values)
+    return [int(v.numerator) * (den // int(v.denominator)) for v in fn.values]
+
+
 def is_subadditive(fn):
-    q = fn.q
-    for x in range(q):
-        for y in range(x, q):
-            if fn.delta(x, y) < 0:
-                return False
-    return True
+    """delta >= 0 on every pair, tested on the integer values."""
+    keys = integer_values(fn)
+    wrapped = keys * 2
+    return all(kx + ky >= kz for x, kx in enumerate(keys)
+               for ky, kz in zip(keys[x:], wrapped[2 * x:]))
 
 
 def satisfies_symmetry(fn):

@@ -9,10 +9,13 @@ reflection equalities.
 Vertex enumeration is double description on the homogenized cone: the
 equality system is solved first and the inequalities are rewritten over the
 affine hull's parameters, so the cone dimension is the polytope's true
-dimension plus one. Rays are primitive integer vectors, tightness is kept
-as bitmasks over processed rows, and adjacency of a candidate pair is the
-combinatorial test (no third ray's tight set contains the pair's common
-tight set) behind a popcount prefilter.
+dimension plus one. Rays are primitive integer vectors and tightness is
+kept as bitmasks over processed rows. Masks are derived, never re-scanned:
+a new ray is a positive combination of an adjacent pair, so it is tight
+exactly on the pair's common rows plus the cutting row. A candidate pair
+is adjacent when no other distinct tight set contains its common set
+(the combinatorial test behind a popcount prefilter); at each cutting row
+that test ANDs per-row bitsets over the distinct masks holding the row.
 """
 
 from .grid_functions import GridFunction
@@ -143,20 +146,12 @@ def _primitive(vec):
     return tuple(v // g for v in vec)
 
 
-def _tight_mask(vec, processed):
-    mask = 0
-    for i, row in enumerate(processed):
-        if _dot(row, vec) == 0:
-            mask |= 1 << i
-    return mask
-
-
 def _dd_rays(hrows, dim):
     """Extreme rays of {x : r.x >= 0 for r in hrows} plus leftover lineality."""
     lin = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     rays = []  # (primitive vec, tight bitmask)
-    processed = []
-    for row in hrows:
+    for nrows, row in enumerate(hrows):
+        bit = 1 << nrows
         hit = None
         for idx, l in enumerate(lin):
             if _dot(row, l):
@@ -174,22 +169,20 @@ def _dd_rays(hrows, dim):
                 )
                 for l in lin
             ]
-            vecs = []
-            for vec, _ in rays:
+            # lineality is orthogonal to every processed row, so shifting a
+            # ray along the pivot only adds this row to its tight set
+            old = rays
+            rays = []
+            seen = set()
+            for vec, mask in old:
                 sr = _dot(row, vec)
                 if sr:
                     vec = _primitive(tuple(a * s - b * sr for a, b in zip(vec, pivot)))
-                vecs.append(vec)
-            vecs.append(pivot)
-            processed.append(row)
-            seen = set()
-            rays = []
-            for vec in vecs:
                 if vec not in seen:
                     seen.add(vec)
-                    rays.append((vec, _tight_mask(vec, processed)))
+                    rays.append((vec, mask | bit))
+            rays.append((pivot, bit - 1))
             continue
-        bit = 1 << len(processed)
         plus, zero, minus = [], [], []
         for vec, mask in rays:
             s = _dot(row, vec)
@@ -201,51 +194,67 @@ def _dd_rays(hrows, dim):
                 zero.append((vec, mask | bit))
         if not minus:
             rays = [(v, m) for v, m, _ in plus] + zero
-            processed.append(row)
             continue
         if not plus:
             rays = zero
-            processed.append(row)
             continue
+        # holders[b] is the set of distinct tight masks that hold row b;
+        # a pair is adjacent when no mask but its own holds all of common
+        index = {}
+        for m in [m for _, m, _ in plus] + [m for _, m in zero] + [m for _, m, _ in minus]:
+            index.setdefault(m, 1 << len(index))
+        holders = [0] * nrows
+        for m, ibit in index.items():
+            m &= ~bit  # zero rays hold this row; no pair's common set does
+            while m:
+                low = m & -m
+                holders[low.bit_length() - 1] |= ibit
+                m ^= low
+        everyone = (1 << len(index)) - 1
         need = dim - len(lin) - 2
-        all_masks = [m for _, m, _ in plus] + [m for _, m in zero] + [m for _, m, _ in minus]
-        processed.append(row)
         new = {}
         for pvec, pmask, ps in plus:
+            others = everyone & ~index[pmask]
             for mvec, mmask, ms in minus:
                 common = pmask & mmask
                 if common.bit_count() < need:
                     continue
-                blocked = False
-                for om in all_masks:
-                    if common & ~om == 0 and om != pmask and om != mmask:
-                        blocked = True
-                        break
-                if blocked:
+                rest = others & ~index[mmask]
+                while rest and common:
+                    low = common & -common
+                    rest &= holders[low.bit_length() - 1]
+                    common ^= low
+                if rest:
                     continue
                 vec = _primitive(tuple(ps * b - ms * a for a, b in zip(pvec, mvec)))
                 if vec not in new:
-                    new[vec] = _tight_mask(vec, processed)
+                    new[vec] = (pmask & mmask) | bit
         rays = [(v, m) for v, m, _ in plus] + zero + list(new.items())
     return rays, lin
 
 
-def _normalized_rows(rows):
-    """Integerize, drop duplicates and trivial rows; None when infeasible."""
-    out = []
-    seen = set()
-    for coeffs, rhs in rows:
-        ints = integerize(list(coeffs) + [rhs])
-        vec, b = tuple(ints[:-1]), ints[-1]
-        if not any(vec):
-            if b > 0:
+def _substituted_rows(ineqs, x0, basis):
+    """Inequalities rewritten over the affine hull x0 + span(basis).
+
+    Returns (rows, sources): rows are the distinct nontrivial (vec, b)
+    pairs as coprime integers, in first-seen order, and sources[k] is the
+    index in ineqs of the first row that became rows[k]. None when some
+    row reads 0 >= b with b > 0.
+    """
+    rows, sources, seen = [], [], set()
+    for i, (coeffs, rhs) in enumerate(ineqs):
+        arow = [sum(Q(c) * bv[j] for j, c in enumerate(coeffs) if c) for bv in basis]
+        shift = sum(Q(c) * x0[j] for j, c in enumerate(coeffs) if c)
+        ints = integerize(arow + [Q(rhs) - shift])
+        key = (tuple(ints[:-1]), ints[-1])
+        if not any(key[0]):
+            if key[1] > 0:
                 return None
-            continue
-        key = (vec, b)
-        if key not in seen:
+        elif key not in seen:
             seen.add(key)
-            out.append(key)
-    return out
+            rows.append(key)
+            sources.append(i)
+    return rows, sources
 
 
 def _sequential_redundancy(rows, nvars, var_bounds=None):
@@ -294,27 +303,16 @@ def remove_redundant(poly):
             raise PolytopeError("redundancy removal on an empty system")
         x0, basis = sol
         d = len(basis)
-        sub = []
-        for coeffs, rhs in ineq_rows:
-            arow = [sum(Q(c) * bv[j] for j, c in enumerate(coeffs) if c)
-                    for bv in basis]
-            shift = sum(Q(c) * x0[j] for j, c in enumerate(coeffs) if c)
-            sub.append((arow, Q(rhs) - shift))
-        rows = _normalized_rows(sub)
-        if rows is None:
+        sub = _substituted_rows(ineq_rows, x0, basis)
+        if sub is None:
             raise PolytopeError("redundancy removal on an empty system")
-        first_source = {}
-        for i, (coeffs, rhs) in enumerate(sub):
-            ints = integerize(list(coeffs) + [rhs])
-            key = (tuple(ints[:-1]), ints[-1])
-            if any(key[0]) and key not in first_source:
-                first_source[key] = i
+        rows, sources = sub
         implicit = _implicit_equalities(rows, d)
         if implicit:
-            eq_rows.extend(ineq_rows[first_source[rows[i]]] for i in implicit)
+            eq_rows.extend(ineq_rows[sources[i]] for i in implicit)
             continue
         keep = _sequential_redundancy(rows, d)
-        facets = [ineq_rows[first_source[rows[i]]] for i in keep]
+        facets = [ineq_rows[sources[i]] for i in keep]
         eq_basis = _independent_rows(eq_rows, poly.nvars)
         return Polytope(poly.nvars, facets, eq_basis)
 
@@ -367,14 +365,10 @@ def enumerate_vertices(poly):
             if sum(Q(c) * v for c, v in zip(coeffs, x0) if c) < rhs:
                 return []
         return [tuple(x0)]
-    sub = []
-    for coeffs, rhs in poly.ineqs:
-        arow = [sum(Q(c) * bv[j] for j, c in enumerate(coeffs) if c) for bv in basis]
-        shift = sum(Q(c) * x0[j] for j, c in enumerate(coeffs) if c)
-        sub.append((arow, Q(rhs) - shift))
-    rows = _normalized_rows(sub)
-    if rows is None:
+    sub = _substituted_rows(poly.ineqs, x0, basis)
+    if sub is None:
         return []
+    rows = sub[0]
     if d >= AUTO_REDUND_DIM:
         keep = _sequential_redundancy(rows, d)
         rows = [rows[i] for i in keep]

@@ -231,7 +231,6 @@ def test_12_solver_handoff_round_trip(tmp_path):
     assert is_extreme(recovered).extreme
 
 
-@pytest.mark.stretch
 def test_stretch_vertex_counts_q21_q23():
     assert len(enumerate_vertices(build_minimal_function_polytope(21, 1))) == 1661
     assert len(enumerate_vertices(build_minimal_function_polytope(23, 1))) == 7188

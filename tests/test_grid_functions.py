@@ -18,6 +18,8 @@ from groupcut.grid_functions import (
     save_function,
     to_json_dict,
 )
+from groupcut.polyhedra import (build_minimal_function_polytope, enumerate_vertices,
+                                 function_from_vertex)
 from groupcut.rationals import Q
 
 
@@ -75,6 +77,27 @@ def test_subadditivity_detects_violation():
     fn = GridFunction(4, 1, [Q(0), Q(1), Q(1, 4), Q(1, 2)])
     assert fn.delta(2, 3) == Q(-1, 4)
     assert not is_subadditive(fn)
+
+
+def test_integer_subadditivity_matches_fraction_definition(rng):
+    def by_delta(fn):
+        return all(fn.delta(x, y) >= 0 for x in range(fn.q) for y in range(fn.q))
+
+    outcomes = set()
+    for q in range(3, 13):
+        for f in range(1, q):
+            poly = build_minimal_function_polytope(q, f)
+            for coords in enumerate_vertices(poly):
+                fn = function_from_vertex(q, f, coords)
+                assert is_subadditive(fn) and by_delta(fn)
+                # nudge one value by a tiny rational either way
+                values = list(fn.values)
+                x = rng.randrange(1, q)
+                values[x] += Q(rng.choice([-1, 1]), rng.choice([7, 60, 1001]))
+                bent = GridFunction(q, f, values)
+                outcomes.add(by_delta(bent))
+                assert is_subadditive(bent) == by_delta(bent)
+    assert outcomes == {True, False}
 
 
 def test_symmetry_detects_violation():
