@@ -61,7 +61,7 @@ class GridFunction:
         """Value of the periodic piecewise linear interpolation at a rational."""
         frac = point - (point.numerator // point.denominator)
         scaled = frac * self.q
-        lo = int(scaled.numerator // scaled.denominator)
+        lo = scaled.numerator // scaled.denominator
         t = scaled - lo
         left = self.values[lo % self.q]
         if t == 0:
@@ -100,7 +100,7 @@ def gmic(q, f_index):
 def integer_values(fn):
     """The values scaled over their common denominator, as integers."""
     den = lcm_denominators(fn.values)
-    return [int(v.numerator) * (den // int(v.denominator)) for v in fn.values]
+    return [v.numerator * (den // v.denominator) for v in fn.values]
 
 
 def is_subadditive(fn):

@@ -18,14 +18,14 @@ def integerize(row):
     for v in row:
         if isinstance(v, int):
             continue
-        d = int(v.denominator)
+        d = v.denominator
         den = den // gcd(den, d) * d
     out = []
     for v in row:
         if isinstance(v, int):
             out.append(v * den)
         else:
-            out.append(int(v.numerator) * (den // int(v.denominator)))
+            out.append(v.numerator * (den // v.denominator))
     g = gcd(*out)
     if g > 1:
         out = [v // g for v in out]

@@ -18,15 +18,15 @@ is adjacent when no other distinct tight set contains its common set
 that test ANDs per-row bitsets over the distinct masks holding the row.
 """
 
+from math import isqrt, prod
+
 from .grid_functions import GridFunction
 from .linalg import RankTracker, integerize, matrix_rank, solve_affine
 from .rationals import Q, QZERO, QONE, format_rational, parse_rational
 from .simplex import INFEASIBLE, LpState
 
-# Sequential redundancy tests need a resting box for otherwise-free
-# variables. Any finite value works as long as it dwarfs every coordinate
-# a ray direction could reach before the box binds; coefficients here are
-# tiny integers and subdeterminant growth is bounded far below this.
+# Resting box of the LP redundancy tests; _box_lp checks that it exceeds
+# every vertex coordinate of the row arrangement.
 ARTIFICIAL_BOX = 10 ** 30
 
 # Substituted systems at least this dimension get an LP-based redundancy
@@ -257,20 +257,32 @@ def _substituted_rows(ineqs, x0, basis):
     return rows, sources
 
 
-def _sequential_redundancy(rows, nvars, var_bounds=None):
+def _box_lp(rows, nvars):
+    """LP over ARTIFICIAL_BOX with one logical per row; (state, logicals).
+
+    rows are integer (coeffs, rhs) pairs meaning a.x >= rhs. By Cramer and
+    Hadamard, no vertex coordinate of the row arrangement exceeds H, the
+    product of the nvars largest norms of [a | rhs]; a box beyond H
+    changes no decision.
+    """
+    norms = sorted((isqrt(sum(c * c for c in a) + b * b - 1) + 1
+                    for a, b in rows), reverse=True)
+    if prod(norms[:nvars]) >= ARTIFICIAL_BOX:
+        raise PolytopeError("coefficients too large for the LP box")
+    state = LpState([(-ARTIFICIAL_BOX, ARTIFICIAL_BOX)] * nvars)
+    logicals = [state.add_row({j: c for j, c in enumerate(a) if c}, b, None)
+                for a, b in rows]
+    return state, logicals
+
+
+def _sequential_redundancy(rows, nvars):
     """Indices of rows surviving one-at-a-time LP redundancy tests.
 
-    rows are (coeffs, rhs) meaning a.x >= rhs. A row is dropped when the
-    minimum of its left side over the remaining rows still meets the rhs;
-    dropped rows stay out for later tests.
+    rows are integer (coeffs, rhs) pairs meaning a.x >= rhs. A row is
+    dropped when the minimum of its left side over the remaining rows
+    still meets the rhs; dropped rows stay out for later tests.
     """
-    if var_bounds is None:
-        var_bounds = [(-ARTIFICIAL_BOX, ARTIFICIAL_BOX)] * nvars
-    state = LpState(var_bounds)
-    logicals = []
-    for coeffs, rhs in rows:
-        lv = state.add_row({j: c for j, c in enumerate(coeffs) if c}, rhs, None)
-        logicals.append(lv)
+    state, logicals = _box_lp(rows, nvars)
     survivors = []
     for i, (coeffs, rhs) in enumerate(rows):
         lv = logicals[i]
@@ -319,12 +331,7 @@ def remove_redundant(poly):
 
 def _implicit_equalities(rows, nvars):
     """Indices of rows a.x >= b with a.x == b on the whole feasible set."""
-    box = [(-ARTIFICIAL_BOX, ARTIFICIAL_BOX)] * nvars
-    state = LpState(box)
-    logicals = []
-    for coeffs, rhs in rows:
-        lv = state.add_row({j: c for j, c in enumerate(coeffs) if c}, rhs, None)
-        logicals.append(lv)
+    state, logicals = _box_lp(rows, nvars)
     found = []
     for i, (coeffs, rhs) in enumerate(rows):
         status, val = state.maximize({logicals[i]: QONE})

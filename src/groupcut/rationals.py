@@ -1,37 +1,21 @@
 """Exact rational scalars for the whole package.
 
 Every numeric quantity here is a rational number; floats never enter any
-computation path. gmpy2's mpq is used when importable and the stdlib
-Fraction is the drop-in fallback; only the Fraction path is measured in
-this repository. Code elsewhere should only go through Q / the helpers
-below so the two backends stay interchangeable.
+computation path. Q is the stdlib Fraction; the hot kernels (simplex,
+double description, additivity tables) work on integers over shared
+denominators and meet Q only at their boundaries.
 """
 
 from fractions import Fraction
 from math import gcd
 
-try:
-    from gmpy2 import mpq as Q  # type: ignore
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only on bare installs
-    Q = Fraction
-    HAVE_GMPY2 = False
-
+Q = Fraction
 QZERO = Q(0)
 QONE = Q(1)
 
 
 class RationalParseError(ValueError):
     """A string did not parse as an exact rational."""
-
-
-def to_fraction(x):
-    """Convert a Q (either backend) or int to a stdlib Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(int(x.numerator), int(x.denominator))
 
 
 def parse_rational(text):
@@ -51,7 +35,7 @@ def parse_rational(text):
                 raise RationalParseError("zero denominator in %r" % text)
             return Q(int(num), d)
         if "." in s or "e" in s or "E" in s:
-            return Q(Fraction(s))
+            return Q(s)
         return Q(int(s))
     except (ValueError, ZeroDivisionError) as exc:
         if isinstance(exc, RationalParseError):
@@ -71,15 +55,11 @@ def lcm_denominators(values):
     """Least common multiple of the denominators of an iterable of Q."""
     out = 1
     for v in values:
-        d = int(v.denominator)
+        d = v.denominator
         out = out // gcd(out, d) * d
     return out
 
 
 def snap_to_denominator(x, max_denominator):
-    """Best rational approximation with denominator <= max_denominator.
-
-    Continued-fraction based (stdlib limit_denominator); returns a Q.
-    """
-    f = to_fraction(x).limit_denominator(max_denominator)
-    return Q(f.numerator, f.denominator)
+    """Best rational approximation with denominator <= max_denominator."""
+    return Q(x).limit_denominator(max_denominator)

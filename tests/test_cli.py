@@ -197,8 +197,14 @@ def test_epsilon_flags_conflict(capsys):
 
 
 def test_console_script_wiring():
+    # the child must import the groupcut under test, installed or not
+    import groupcut
+
+    src = os.path.dirname(os.path.dirname(groupcut.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "groupcut",
                            "vertices", "--q", "5", "--f", "1/5"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 2

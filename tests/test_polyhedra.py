@@ -9,6 +9,7 @@ from groupcut.patterns import build_slope_polytope
 from groupcut.polyhedra import (
     Polytope,
     PolytopeError,
+    _box_lp,
     _dd_rays,
     _substituted_rows,
     build_minimal_function_polytope,
@@ -128,6 +129,14 @@ def test_remove_redundant_idempotent_and_equivalent():
     assert sorted(enumerate_vertices(red)) == sorted(enumerate_vertices(poly))
 
 
+def test_redundancy_strip_pivot_count(pivot_count):
+    # P(17, 1): remove_redundant's LPs, then the strip of
+    # enumerate_vertices in dimension 8
+    red = remove_redundant(build_minimal_function_polytope(17, 1))
+    assert len(enumerate_vertices(red)) == 251
+    assert pivot_count[0] == 753
+
+
 def test_remove_redundant_drops_duplicate_rows():
     square = Polytope(2, [((1, 0), 0), ((1, 0), 0), ((2, 0), 0),
                           ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1),
@@ -135,6 +144,34 @@ def test_remove_redundant_drops_duplicate_rows():
     red = remove_redundant(square)
     assert len(red.ineqs) == 4
     assert sorted(enumerate_vertices(red)) == sorted(enumerate_vertices(square))
+
+
+def test_remove_redundant_rejects_rows_beyond_the_lp_box():
+    # the triangle x, y >= -5, x + y <= 7 with the redundant rows
+    # x + y >= -20 and x - y >= -30 scaled by about 10**20: two such rows
+    # let vertex coordinates of the arrangement reach 10**42 / det, so the
+    # redundancy LPs' box of 10**30 no longer provably decides
+    big = 10 ** 20
+    triangle = [((1, 0), -5), ((0, 1), -5), ((-1, -1), -7)]
+    scaled = Polytope(2, triangle + [((big + 1, big + 3), -20 * big),
+                                     ((big + 7, -big - 11), -30 * big)], [])
+    with pytest.raises(PolytopeError, match="LP box"):
+        remove_redundant(scaled)
+    plain = Polytope(2, triangle + [((1, 1), -20), ((1, -1), -30)], [])
+    assert sorted(remove_redundant(plain).ineqs) == sorted(triangle)
+
+
+def test_lp_box_check_holds_on_gate_polytopes():
+    polys = [build_minimal_function_polytope(q, f)
+             for q in range(3, 24) for f in range(1, q)]
+    polys += [build_triple_system_polytope(q, f)
+              for q in range(3, 13) for f in range(1, q)]
+    polys += [build_slope_polytope(r) for r in range(1, 6)]
+    for poly in polys:
+        x0, basis = solve_affine([a for a, _ in poly.eqs],
+                                 [b for _, b in poly.eqs], poly.nvars)
+        rows, _ = _substituted_rows(poly.ineqs, x0, basis)
+        _box_lp(rows, len(basis))  # raises PolytopeError when it trips
 
 
 def test_triple_system_shape_and_vertices():

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from groupcut.rationals import (
@@ -10,7 +8,6 @@ from groupcut.rationals import (
     lcm_denominators,
     parse_rational,
     snap_to_denominator,
-    to_fraction,
 )
 
 
@@ -46,12 +43,6 @@ def test_format_round_trip(rng):
     for _ in range(200):
         x = Q(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
         assert parse_rational(format_rational(x)) == x
-
-
-def test_to_fraction_both_directions():
-    assert to_fraction(Q(2, 6)) == Fraction(1, 3)
-    assert to_fraction(7) == Fraction(7)
-    assert to_fraction(Fraction(5, 9)) == Fraction(5, 9)
 
 
 def test_lcm_denominators():

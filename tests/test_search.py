@@ -204,7 +204,7 @@ def _frame_depth():
     return depth
 
 
-def test_combined_search_branches_without_deep_recursion():
+def test_combined_search_branches_without_deep_recursion(pivot_count):
     # This tree is 110 branch decisions deep, well past the 60 frames of
     # headroom left here, so it only completes when the walk is iterative.
     cfg = SearchConfig(q=14, f_index=5, target_slopes=3, mode=COMBINED,
@@ -221,6 +221,7 @@ def test_combined_search_branches_without_deep_recursion():
     assert len(out.functions) == 13
     assert all(number_of_slopes(fn) == 3 for fn in out.functions)
     assert len(out.paintings) == 27
+    assert pivot_count[0] == 4022
 
 
 def test_restricted_polytope_functions():

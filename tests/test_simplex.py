@@ -170,11 +170,17 @@ def _oracle_max(bounds, rows, objective):
     return best
 
 
-def _check_rows_reduced(state):
+def _check_state(state):
+    """Rows in lowest terms; values and bounds integers over L > 0."""
     for row, den in zip(state.D, state.den):
         assert all(type(c) is int for c in row)
         assert den > 0
         assert math.gcd(den, *row) == 1
+    assert type(state.L) is int and state.L > 0
+    bounds = [b for b in state.lower + state.upper if b is not None]
+    assert all(type(x) is int for x in state.N + state.B + bounds)
+    for row, value in zip(state.D, state.B):
+        assert value == sum(c * x for c, x in zip(row, state.N))
 
 
 def test_differential_against_vertex_oracle(rng, monkeypatch):
@@ -185,7 +191,7 @@ def test_differential_against_vertex_oracle(rng, monkeypatch):
 
     def checked_pivot(self, r, slot, target):
         out = real_pivot(self, r, slot, target)
-        _check_rows_reduced(self)
+        _check_state(self)
         pivots.append(out)
         return out
 
@@ -195,7 +201,13 @@ def test_differential_against_vertex_oracle(rng, monkeypatch):
         if rng.random() < 0.2:
             center = _random_q(rng)
         lo = center - _random_q(rng, 0, 3)
-        return lo, center + _random_q(rng, 0, 3)
+        up = center + _random_q(rng, 0, 3)
+        if rng.random() < 0.3:
+            # two fresh, different denominators in one call, e.g. 1/3, 5/7
+            p, r = rng.sample((5, 7, 11, 13, 17, 19, 23, 29, 31), 2)
+            lo -= Q(rng.randint(1, p - 1), p)
+            up += Q(rng.randint(1, r - 1), r)
+        return lo, up
 
     solved = infeasible = 0
     for _ in range(100):
@@ -253,7 +265,7 @@ def test_differential_against_vertex_oracle(rng, monkeypatch):
                 status, val = state.maximize(objective)
             else:
                 status, val = state.minimize(objective)
-            _check_rows_reduced(state)
+            _check_state(state)
             if want is None:
                 assert (status, val) == (INFEASIBLE, None)
                 infeasible += 1
