@@ -10,9 +10,10 @@ A complete painting is determined by which vertices are additive, so the
 package's kernel works on integers instead of faces: a q x q additivity
 table, one pass over the grid cells that reads each edge and triangle off
 its corners (green_cells), and one interval union-find with coverage
-(IntervalUnion). Extremality, the vertex filter and the MIP assignment
-read the table directly; Painting is for partial, grey-bearing paintings
-(the search tree, the prescribed patterns, pictures and to_lines output).
+(IntervalUnion). Extremality, the vertex filter, the search tree's nodes
+and the MIP assignment read the table directly; Painting is for partial,
+grey-bearing paintings (the search's emitted paintings, the prescribed
+patterns, pictures and to_lines output).
 """
 
 from typing import NamedTuple
@@ -165,11 +166,6 @@ class Painting:
         else:
             self._colors[key] = color
 
-    def copy(self):
-        dup = Painting(self.q)
-        dup._colors = dict(self._colors)
-        return dup
-
     def faces_with_color(self, color):
         return sorted(f for f, c in self._colors.items() if c == color)
 
@@ -259,20 +255,12 @@ class IntervalUnion:
     so the result does not depend on the order faces arrive in.
     """
 
-    __slots__ = ("q", "count", "_parent", "_covered")
+    __slots__ = ("q", "_parent", "_covered")
 
     def __init__(self, q):
         self.q = q
-        self.count = q
         self._parent = list(range(q))
         self._covered = [False] * q
-
-    def clone(self):
-        dup = IntervalUnion.__new__(IntervalUnion)
-        dup.q, dup.count = self.q, self.count
-        dup._parent = list(self._parent)
-        dup._covered = list(self._covered)
-        return dup
 
     def find(self, a):
         parent = self._parent
@@ -286,7 +274,6 @@ class IntervalUnion:
         if ra != rb:
             self._parent[rb] = ra
             self._covered[ra] = self._covered[ra] or self._covered[rb]
-            self.count -= 1
         if cover:
             self._covered[ra] = True
 

@@ -22,7 +22,7 @@ from math import isqrt, prod
 
 from .grid_functions import GridFunction
 from .linalg import RankTracker, integerize, matrix_rank, solve_affine
-from .rationals import Q, QZERO, QONE, format_rational, parse_rational
+from .rationals import Q, QZERO, QONE
 from .simplex import INFEASIBLE, LpState
 
 # Resting box of the LP redundancy tests; _box_lp checks that it exceeds
@@ -402,80 +402,4 @@ def enumerate_vertices(poly):
                         point[k] += tj * bv[k]
         verts.append(tuple(point))
     verts.sort()
-    return verts
-
-
-# -- lrs-style text formats -------------------------------------------------
-
-
-def write_ine(poly, path, name="polytope"):
-    """H-representation text file (b + a.x >= 0 rows, lrs dialect)."""
-    lines = [name, "H-representation"]
-    if poly.eqs:
-        idx = " ".join(str(i + 1) for i in range(len(poly.eqs)))
-        lines.append("linearity %d %s" % (len(poly.eqs), idx))
-    lines.append("begin")
-    total = len(poly.eqs) + len(poly.ineqs)
-    lines.append("%d %d rational" % (total, poly.nvars + 1))
-    for coeffs, rhs in list(poly.eqs) + list(poly.ineqs):
-        parts = [format_rational(Q(-rhs))]
-        parts.extend(format_rational(Q(c)) for c in coeffs)
-        lines.append(" ".join(parts))
-    lines.append("end")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_ine(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    linearity = set()
-    it = iter(lines)
-    for ln in it:
-        if ln.startswith("linearity"):
-            parts = ln.split()
-            linearity = {int(p) - 1 for p in parts[2:]}
-        elif ln == "begin":
-            break
-    header = next(it).split()
-    m, ncols = int(header[0]), int(header[1])
-    ineqs, eqs = [], []
-    for i in range(m):
-        vals = [parse_rational(tok) for tok in next(it).split()]
-        if len(vals) != ncols:
-            raise PolytopeError("row %d has %d entries, expected %d" % (i, len(vals), ncols))
-        row = (tuple(vals[1:]), -vals[0])
-        if i in linearity:
-            eqs.append(row)
-        else:
-            ineqs.append(row)
-    return Polytope(ncols - 1, ineqs, eqs)
-
-
-def write_ext(vertices, nvars, path, name="vertices"):
-    """V-representation text file listing vertices only."""
-    lines = [name, "V-representation", "begin"]
-    lines.append("%d %d rational" % (len(vertices), nvars + 1))
-    for v in vertices:
-        lines.append("1 " + " ".join(format_rational(Q(c)) for c in v))
-    lines.append("end")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_ext(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    it = iter(lines)
-    for ln in it:
-        if ln == "begin":
-            break
-    header = next(it).split()
-    m = int(header[0])
-    verts = []
-    for _ in range(m):
-        vals = [parse_rational(tok) for tok in next(it).split()]
-        if vals[0] != 1:
-            raise PolytopeError("rays are not supported in vertex files")
-        verts.append(tuple(vals[1:]))
     return verts

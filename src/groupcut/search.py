@@ -16,10 +16,9 @@ matter how many workers took part.
 import multiprocessing
 from dataclasses import dataclass, field
 
-from .complex2d import (DEDGE, GREEN, GREY, HEDGE, LOWER, UPPER, VEDGE,
-                        VERTEX, WHITE, Face, IntervalUnion, Painting,
+from .complex2d import (GREEN, LOWER, UPPER, VERTEX, WHITE, Painting,
                         canonical, corner_vertices, function_table,
-                        iter_canonical_faces, table_components)
+                        iter_canonical_faces, paint_table, table_components)
 from .extremality import is_extreme
 from .grid_functions import number_of_slopes
 from .linalg import RankTracker
@@ -32,8 +31,6 @@ VERTEX_FILTER = "vertex_filter"
 HEURISTIC = "heuristic"
 COMBINED = "combined"
 _MODES = (VERTEX_FILTER, HEURISTIC, COMBINED)
-
-_TRIANGLE_RANK = {LOWER: 0, UPPER: 1}
 
 # Depth at which subtrees are handed to worker processes.
 _SPLIT_DEPTH = 3
@@ -90,34 +87,59 @@ class SearchOutcome:
 class SearchNode:
     """One node of the backtracking tree.
 
-    The node owns its LP state, painting and interval components outright;
-    children are made by cloning, so a node can be mutated freely by the
-    search driver that holds it. `path` records the branch decisions from
-    the root, which is enough to rebuild the node from scratch (workers do
-    exactly that).
+    A node holds its LP state, the rank tracker of its additivity
+    equations, `green`, the q x q table of vertices made additive so far
+    (the shape additivity_table returns), and `path`, the branch decisions
+    from the root. Faces, colors and interval components are read off the
+    table through the complex2d kernel: a face is green when all its
+    corners are, and a triangle declined in `path` is white. Children are
+    made by cloning, so a node can be mutated freely by the search driver
+    that holds it; `path` is enough to rebuild the node from scratch
+    (workers do exactly that).
     """
 
-    __slots__ = ("system", "painting", "lp", "depth", "path", "branched",
-                 "intervals", "_cs")
+    __slots__ = ("system", "lp", "green", "path", "_cs")
 
-    def __init__(self, system, painting, lp, depth, path, branched,
-                 intervals, cs):
+    def __init__(self, system, lp, green, path, cs):
         self.system = system
-        self.painting = painting
         self.lp = lp
-        self.depth = depth
+        self.green = green
         self.path = path
-        self.branched = branched
-        self.intervals = intervals
         self._cs = cs
 
     def clone(self):
-        return SearchNode(self.system, self.painting.copy(), self.lp.clone(),
-                          self.depth, self.path, set(self.branched),
-                          self.intervals.clone(), self._cs.clone())
+        return SearchNode(self.system, self.lp.clone(),
+                          [row[:] for row in self.green], self.path,
+                          self._cs.clone())
+
+    @property
+    def depth(self):
+        return len(self.path)
+
+    @property
+    def intervals(self):
+        """Interval components of the green faces."""
+        return table_components(self.green)
+
+    @property
+    def painting(self):
+        """The green faces, with the declined triangles painted white.
+
+        Raises PaintingError when a declined triangle has all corners
+        green; that leaves its LP row as 0 >= epsilon, so only an
+        infeasible node can get there.
+        """
+        painting = paint_table(self.green)
+        for triangle in self.declined():
+            painting.set_color(triangle, WHITE)
+        return painting
+
+    def declined(self):
+        return {triangle for triangle, made_green in self.path
+                if not made_green}
 
     def exp_dim(self):
-        return self.painting.q - self._cs.rank
+        return len(self.green) - self._cs.rank
 
 
 def _delta_row(q, x, y):
@@ -131,9 +153,9 @@ def _delta_row(q, x, y):
 class _RootSystem:
     """The LP and bookkeeping shared by every node of one search run.
 
-    Holds the map from canonical vertex to the LP row carrying its
-    additivity slack; row ids survive LpState.clone, so one map serves
-    the whole tree.
+    Holds the map from vertex (x, y), in both orders, to the LP row
+    carrying its additivity slack; row ids survive LpState.clone, so one
+    map serves the whole tree.
     """
 
     def __init__(self, config):
@@ -152,151 +174,104 @@ class _RootSystem:
         for x in range(1, q):
             for y in range(x, q):
                 coeffs = {v: c for v, c in enumerate(_delta_row(q, x, y)) if c}
-                self.row_of[Face(VERTEX, x, y)] = lp.add_row(coeffs, 0, None)
+                row = lp.add_row(coeffs, 0, None)
+                self.row_of[(x, y)] = self.row_of[(y, x)] = row
         self.lp = lp
-
-    def delta_coeff_row(self, vtx):
-        """The vertex's additivity row over all q function values."""
-        return _delta_row(self.config.q, vtx.x, vtx.y)
 
     def build_root(self):
         q, f = self.config.q, self.config.f_index
-        painting = Painting(q)
         cs = RankTracker(q)
         cs.add_row([1 if x == 0 else 0 for x in range(q)])
         cs.add_row([1 if x == f else 0 for x in range(q)])
-        node = SearchNode(self, painting, self.lp.clone(), 0, (), set(),
-                          IntervalUnion(q), cs)
-        greens = []
-        for y in range(q):
-            vtx = Face(VERTEX, 0, y)
-            painting.set_color(vtx, GREEN)
-            greens.append(vtx)
+        green = [[x == 0 or y == 0 for y in range(q)] for x in range(q)]
+        node = SearchNode(self, self.lp.clone(), green, (), cs)
         for x in range(q):
-            vtx = canonical(Face(VERTEX, x, (f - x) % q))
-            if painting.color(vtx) == GREY:
-                self._make_vertex_green(node, vtx)
-                greens.append(vtx)
-        self._lift(node, greens)
+            self._make_vertex_green(node, x, (f - x) % q)
         return node
 
-    # -- painting mutations --------------------------------------------
-
-    def _make_vertex_green(self, node, vtx):
-        node.painting.set_color(vtx, GREEN)
-        row = self.row_of.get(vtx)
+    def _make_vertex_green(self, node, x, y):
+        green = node.green
+        if green[x][y]:
+            return
+        green[x][y] = green[y][x] = True
+        row = self.row_of.get((x, y))
         if row is not None:
             node.lp.set_bounds(row, 0, 0)
-            node._cs.add_row(self.delta_coeff_row(vtx))
-
-    def _lift(self, node, new_vertices):
-        """Repaint faces whose corners all turned green; merge components."""
-        painting = node.painting
-        q = painting.q
-        candidates = set()
-        for vtx in new_vertices:
-            for a, b in ((vtx.x, vtx.y), (vtx.y, vtx.x)):
-                am, bm = (a - 1) % q, (b - 1) % q
-                candidates.update((
-                    Face(HEDGE, a, b), Face(HEDGE, am, b),
-                    Face(VEDGE, a, b), Face(VEDGE, a, bm),
-                    Face(DEDGE, a, bm), Face(DEDGE, am, b),
-                    Face(LOWER, a, b), Face(LOWER, am, b),
-                    Face(LOWER, a, bm), Face(UPPER, a, bm),
-                    Face(UPPER, am, bm), Face(UPPER, am, b),
-                ))
-        for face in sorted(canonical(face) for face in candidates):
-            if painting.color(face) != GREY:
-                continue
-            if all(painting.color(c) == GREEN
-                   for c in corner_vertices(face, q)):
-                painting.set_color(face, GREEN)
-                node.intervals.add_face(face)
+            node._cs.add_row(_delta_row(self.config.q, x, y))
 
     def apply_decision(self, node, triangle, make_green):
         """Mutate `node` into the chosen child of a branch step."""
-        q = self.config.q
-        corners = corner_vertices(triangle, q)
+        corners = corner_vertices(triangle, self.config.q)
         if make_green:
-            fresh = []
             for corner in corners:
-                vtx = canonical(corner)
-                if node.painting.color(vtx) == GREY:
-                    self._make_vertex_green(node, vtx)
-                    fresh.append(vtx)
-            node.painting.set_color(triangle, GREEN)
-            node.intervals.add_face(triangle)
-            self._lift(node, fresh)
+                self._make_vertex_green(node, corner.x, corner.y)
         else:
             coeffs = {}
-            for corner in corners:
-                row = self.row_of.get(canonical(corner))
+            for _, x, y in corners:
+                row = self.row_of.get((x, y))
                 if row is not None:
                     coeffs[row] = coeffs.get(row, 0) + 1
             node.lp.add_row(coeffs, self.config.epsilon, None)
-            node.painting.set_color(triangle, WHITE)
-        node.depth += 1
         node.path = node.path + ((triangle, make_green),)
-        node.branched.add(triangle)
         return node
 
     # -- node operations --------------------------------------------------
 
     def branch(self, node, triangle):
-        if node.painting.color(triangle) != GREY:
+        triangle = canonical(triangle)
+        if not self._is_grey(node, triangle, node.declined()):
             raise SearchError("can only branch on a grey triangle")
         green = self.apply_decision(node.clone(), triangle, True)
         white = self.apply_decision(node.clone(), triangle, False)
         return green, white
 
     def propagate_implied(self, node):
-        """Feasibility check, then repaint every implied-additive vertex.
+        """Feasibility check, then make every implied-additive vertex green.
 
         Returns False when the node's LP is infeasible. Turning a proven
         implied additivity into an explicit equality never shrinks the
-        feasible region, so a single pass over the grey vertices in
+        feasible region, so a single pass over the non-green vertices in
         lexicographic order decides every vertex exactly.
         """
         lp = node.lp
         if not lp.restore_feasible():
             return False
         q = self.config.q
+        green = node.green
         point = lp.point()
         for x in range(1, q):
             for y in range(x, q):
-                vtx = Face(VERTEX, x, y)
-                if node.painting.color(vtx) != GREY:
+                if green[x][y]:
                     continue
                 if point[x] + point[y] - point[(x + y) % q] != 0:
                     continue
-                status, val = lp.maximize({self.row_of[vtx]: 1})
+                status, val = lp.maximize({self.row_of[(x, y)]: 1})
                 if status != OPTIMAL:
                     return False
                 point = lp.point()
                 if val == 0:
-                    self._make_vertex_green(node, vtx)
-                    self._lift(node, [vtx])
+                    self._make_vertex_green(node, x, y)
         return True
 
-    def choose_branching_triangle(self, node):
-        best = None
-        for face in self._grey_triangles(node):
-            key = (_TRIANGLE_RANK[face.kind], face.x, face.y)
-            if best is None or key < best[0]:
-                best = (key, face)
-        return None if best is None else best[1]
+    def choose_branching_triangle(self, node, intervals):
+        """First grey triangle with uncovered x and y projections.
 
-    def _grey_triangles(self, node):
-        painting = node.painting
-        for face in iter_canonical_faces(painting.q, (LOWER, UPPER)):
-            if painting.color(face) != GREY:
-                continue
-            if face in node.branched:
-                continue
-            if (node.intervals.is_covered(face.x)
-                    or node.intervals.is_covered(face.y)):
-                continue
-            yield face
+        Lower triangles come before upper ones, then ascending (x, y).
+        """
+        declined = node.declined()
+        for face in iter_canonical_faces(self.config.q, (LOWER, UPPER)):
+            if (not intervals.is_covered(face.x)
+                    and not intervals.is_covered(face.y)
+                    and self._is_grey(node, face, declined)):
+                return face
+        return None
+
+    def _is_grey(self, node, triangle, declined):
+        """Neither declined nor green (all corners additive)."""
+        green = node.green
+        return triangle not in declined and not all(
+            green[x][y] for _, x, y in corner_vertices(triangle,
+                                                       self.config.q))
 
 
 class _TreeSearch:
@@ -313,7 +288,6 @@ class _TreeSearch:
         self.stats = {"nodes": 0, "infeasible": 0, "pruned_components": 0,
                       "dead_ends": 0, "covering_paintings": 0,
                       "stop_nodes": 0}
-        self.node_observer = None
 
     def run(self, replay_path=None):
         node = self.system.build_root()
@@ -354,23 +328,23 @@ class _TreeSearch:
         if not self.system.propagate_implied(node):
             self.stats["infeasible"] += 1
             return None
-        if self.node_observer is not None:
-            self.node_observer(node)
-        if node.intervals.count < self.config.target_slopes:
+        intervals = node.intervals
+        if intervals.component_count() < self.config.target_slopes:
             self.stats["pruned_components"] += 1
             return None
-        covering = node.intervals.all_covered()
+        covering = intervals.all_covered()
         if self.config.mode == COMBINED:
             if covering or node.exp_dim() <= self.config.exp_dim_threshold:
                 self.stats["stop_nodes"] += 1
-                self.paintings.append(node.painting.copy())
-                self._enumerate_restriction(node)
+                painting = node.painting
+                self.paintings.append(painting)
+                self._enumerate_restriction(painting)
                 return None
         elif covering:
             self.stats["covering_paintings"] += 1
-            self.paintings.append(node.painting.copy())
+            self.paintings.append(node.painting)
             return None
-        triangle = self.system.choose_branching_triangle(node)
+        triangle = self.system.choose_branching_triangle(node, intervals)
         if triangle is None:
             self.stats["dead_ends"] += 1
             return None
@@ -380,8 +354,8 @@ class _TreeSearch:
             return None
         return self.system.branch(node, triangle)
 
-    def _enumerate_restriction(self, node):
-        for fn in restricted_polytope_functions(self.config, node.painting):
+    def _enumerate_restriction(self, painting):
+        for fn in restricted_polytope_functions(self.config, painting):
             if number_of_slopes(fn) < self.config.target_slopes:
                 continue
             key = tuple(fn.values)
@@ -433,7 +407,7 @@ def propagate_implied(node):
 
 def choose_branching_triangle(node):
     """Smallest grey triangle whose two axis projections are uncovered."""
-    return node.system.choose_branching_triangle(node)
+    return node.system.choose_branching_triangle(node, node.intervals)
 
 
 def _worker_entry(args):
@@ -449,14 +423,12 @@ def _merge_stats(total, extra):
         total[key] = total.get(key, 0) + val
 
 
-def run_search(config, node_observer=None):
+def run_search(config):
     """Execute the configured search to completion; returns SearchOutcome."""
     if config.mode == VERTEX_FILTER:
         return _run_vertex_filter(config)
     if config.worker_count == 1:
-        search = _TreeSearch(config)
-        search.node_observer = node_observer
-        return search.run()
+        return _TreeSearch(config).run()
     search = _TreeSearch(config, collect_paths_at=_SPLIT_DEPTH)
     search.run()
     jobs = [(config, path) for path in search.pending_paths]

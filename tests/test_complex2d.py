@@ -126,15 +126,6 @@ def test_painting_lines_round_trip():
         Painting.from_lines(5, ["lower 1 2"])
 
 
-def test_painting_copy_is_deep():
-    pt = Painting(5)
-    pt.set_color(Face(LOWER, 1, 2), GREEN)
-    twin = pt.copy()
-    twin.set_color(Face(UPPER, 1, 2), WHITE)
-    assert pt.color(Face(UPPER, 1, 2)) == GREY
-    assert twin != pt
-
-
 def test_painting_from_function_matches_deltas():
     fn = gmic(5, 3)
     pt = painting_from_function(fn)

@@ -17,12 +17,8 @@ from groupcut.polyhedra import (
     dimension,
     enumerate_vertices,
     function_from_vertex,
-    read_ext,
-    read_ine,
     remove_redundant,
     symmetry_pairs,
-    write_ext,
-    write_ine,
 )
 from groupcut.rationals import Q
 
@@ -199,20 +195,6 @@ def test_builder_validation():
         build_minimal_function_polytope(5, 5)
     with pytest.raises(PolytopeError):
         build_triple_system_polytope(7, 7)
-
-
-def test_ine_ext_round_trip(tmp_path):
-    poly = build_minimal_function_polytope(5, 2)
-    ine = tmp_path / "poly.ine"
-    write_ine(poly, str(ine))
-    back = read_ine(str(ine))
-    assert back.nvars == poly.nvars
-    assert sorted(enumerate_vertices(back)) == sorted(enumerate_vertices(poly))
-
-    verts = enumerate_vertices(poly)
-    ext = tmp_path / "poly.ext"
-    write_ext(verts, poly.nvars, str(ext))
-    assert sorted(read_ext(str(ext))) == sorted(verts)
 
 
 # -- double description against independent checks ---------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import sys
 
 import pytest
@@ -68,9 +69,7 @@ def test_config_validation():
 def test_small_tree_shape():
     # q=4, f=1: the whole backtracking tree is hand-checkable
     cfg = SearchConfig(q=4, f_index=1, mode=HEURISTIC)
-    seen = []
-    out = run_search(cfg, node_observer=seen.append)
-    assert len(seen) == 5
+    out = run_search(cfg)
     assert out.stats == {"nodes": 5, "infeasible": 0, "pruned_components": 0,
                          "dead_ends": 1, "covering_paintings": 2,
                          "stop_nodes": 0}
@@ -241,3 +240,31 @@ def test_heuristic_paintings_cover(rng):
         for painting in heuristic_backtracking_search(cfg):
             validate_inclusion(painting)
             assert covered_components(painting).all_covered()
+
+
+def _search_digest_configs():
+    for q in range(4, 10):
+        for f in range(1, q):
+            yield SearchConfig(q=q, f_index=f, mode=HEURISTIC)
+            yield SearchConfig(q=q, f_index=f, mode=COMBINED,
+                               exp_dim_threshold=2)
+    yield SearchConfig(q=14, f_index=5, target_slopes=3, mode=COMBINED,
+                       exp_dim_threshold=5)
+    yield SearchConfig(q=8, f_index=3, mode=COMBINED, exp_dim_threshold=0,
+                       worker_count=2)
+
+
+def test_search_outputs_digest():
+    # One digest over the functions, paintings and stats of 68 searches:
+    # any change to what the tree emits or counts moves it.
+    digest = hashlib.sha256()
+    for cfg in _search_digest_configs():
+        out = run_search(cfg)
+        digest.update(repr(cfg).encode())
+        for fn in out.functions:
+            digest.update((" ".join(map(str, fn.values)) + "\n").encode())
+        for painting in out.paintings:
+            digest.update(("\n".join(painting.to_lines()) + "\n\n").encode())
+        digest.update(repr(sorted(out.stats.items())).encode())
+    assert digest.hexdigest() == (
+        "1fdcedb3626096c89d6b45f0ddaec6021165c5eddebc8f4075a6dc737a98b1bb")
